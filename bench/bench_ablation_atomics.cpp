@@ -1,20 +1,19 @@
 // Ablation A1 -- the cost of correctness: lock-free atomic writeAdd versus
 // racy plain adds versus the race-free alternatives (pull decomposition,
-// ownership via edge partitioning, thread-replicated tiles).
+// ownership via edge partitioning).
 //
 // The paper (section IV): "we ran the program with atomics off, performing
 // unsafe updates, and saw no appreciable performance difference", concluding
 // the workload is memory-bound. This bench quantifies that claim on two
 // graph shapes (uniform ER = low contention, skewed R-MAT = hub contention)
 // and also reports how much mass the unsafe variant actually loses. The
-// partitioned/replicated columns extend the ablation with the two
-// contention-free designs from src/partition/: if the paper's memory-bound
-// conclusion holds, ownership should match atomics; if hub contention bites
-// (skewed graph, many threads), ownership should win.
+// partitioned column extends the ablation with the contention-free design
+// from src/partition/: if the paper's memory-bound conclusion holds,
+// ownership should match atomics; if hub contention bites (skewed graph,
+// many threads), ownership should win.
 #include "bench/common.hpp"
 
 #include "gen/erdos_renyi.hpp"
-#include "partition/tile_accumulator.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -38,8 +37,8 @@ int main() {
   gee::util::TextTable table(
       "A1 -- atomic vs unsafe vs race-free designs (edge-pass seconds)");
   table.set_header({"graph", "atomics", "unsafe", "pull", "partitioned",
-                    "part-blocked", "replicated", "unsafe/atomics",
-                    "partitioned/atomics", "mass kept by unsafe"});
+                    "unsafe/atomics", "partitioned/atomics",
+                    "mass kept by unsafe"});
 
   struct Shape {
     const char* name;
@@ -65,24 +64,9 @@ int main() {
     const double pull = bench::time_backend(prepared, Backend::kParallelPull);
     // First kPartitioned call also builds the partition plan; time_backend's
     // best-of-N reporting (projection + edge_pass only) matches the other
-    // columns, and later repeats hit the plan cached on the graph. The
-    // blocked column (256 KiB cap, a separate cached plan) measures the
-    // write-locality-vs-read-locality trade of cache-blocked schedules
-    // (Options::partition_block_bytes -- off by default, measured slower
-    // on the baseline machine).
+    // columns, and later repeats hit the plan cached on the graph.
     const double partitioned =
         bench::time_backend(prepared, Backend::kPartitioned);
-    const double part_blocked = bench::time_backend(
-        prepared, gee::core::Options{.backend = Backend::kPartitioned,
-                                     .partition_block_bytes = 256 << 10});
-    // kReplicated needs one n x K tile per thread; skip the column rather
-    // than OOM a many-core machine at low GEE_BENCH_SCALE.
-    const bool run_replicated =
-        gee::partition::replicated_scratch_bytes(n, bench::kNumClasses) <=
-        gee::partition::kReplicatedScratchBudget;
-    const double replicated =
-        run_replicated ? bench::time_backend(prepared, Backend::kReplicated)
-                       : 0.0;
 
     // Quantify the dropped updates of one unsafe run against the exact
     // pull result.
@@ -98,12 +82,6 @@ int main() {
     table.cell(unsafe, 4);
     table.cell(pull, 4);
     table.cell(partitioned, 4);
-    table.cell(part_blocked, 4);
-    if (run_replicated) {
-      table.cell(replicated, 4);
-    } else {
-      table.cell("skipped (scratch)");
-    }
     table.cell(unsafe / atomic, 3);
     table.cell(partitioned / atomic, 3);
     table.cell(gee::util::format_double(100.0 * kept, 4) + "%");

@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "bench/report.hpp"
@@ -19,8 +18,6 @@
 #include "graph/csr.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
-#include "partition/tile_accumulator.hpp"
-#include "simd/bf16.hpp"
 #include "simd/simd.hpp"
 #include "util/rng.hpp"
 
@@ -86,50 +83,6 @@ void BM_ScatterAdd(benchmark::State& state) {
   state.SetLabel(std::to_string(rows * kK * sizeof(double) / 1024) + " KiB Z");
 }
 BENCHMARK(BM_ScatterAdd)->Arg(1 << 6)->Arg(1 << 12)->Arg(1 << 18)->Arg(1 << 22);
-
-// ----------------------------------------- reduced-precision tile updates
-
-/// The replicated backend's per-edge tile add at each storage precision
-/// (Options::replicated_precision), against the same scatter pattern as
-/// BM_ScatterAdd: double is the reference `cell += delta`, float halves
-/// the tile's bandwidth, bf16 halves it again but pays a widen/narrow.
-template <class Cell>
-void tile_scatter_add(benchmark::State& state) {
-  constexpr int kK = 50;
-  constexpr std::size_t kRows = 1 << 18;
-  std::vector<Cell> tile(kRows * kK, Cell{});
-  gee::util::Xoshiro256 rng(1);
-  std::vector<std::uint32_t> targets(1 << 16);
-  for (auto& t : targets) {
-    t = static_cast<std::uint32_t>(rng.next_below(kRows));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto row = targets[i++ & 0xFFFF];
-    Cell& cell = tile[static_cast<std::size_t>(row) * kK + 7];
-    if constexpr (std::is_same_v<Cell, gee::simd::bf16_t>) {
-      cell = gee::simd::float_to_bf16(gee::simd::bf16_to_float(cell) + 1.0f);
-    } else {
-      cell += static_cast<Cell>(1.0);
-    }
-    benchmark::DoNotOptimize(cell);
-  }
-  state.SetLabel(std::to_string(kRows * kK * sizeof(Cell) / 1024) +
-                 " KiB tile");
-}
-
-void BM_TileScatterAddDouble(benchmark::State& state) {
-  tile_scatter_add<double>(state);
-}
-BENCHMARK(BM_TileScatterAddDouble);
-void BM_TileScatterAddFloat(benchmark::State& state) {
-  tile_scatter_add<float>(state);
-}
-BENCHMARK(BM_TileScatterAddFloat);
-void BM_TileScatterAddBf16(benchmark::State& state) {
-  tile_scatter_add<gee::simd::bf16_t>(state);
-}
-BENCHMARK(BM_TileScatterAddBf16);
 
 // ------------------------------------------------- SIMD row primitives
 
@@ -230,12 +183,6 @@ struct PassFixture {
 
 void BM_EdgePass(benchmark::State& state, gee::core::Options options) {
   const auto& f = PassFixture::instance();
-  if (options.backend == Backend::kReplicated &&
-      gee::partition::replicated_scratch_bytes(f.graph.num_vertices(), 50) >
-          gee::partition::kReplicatedScratchBudget) {
-    state.SkipWithError("replicated tile scratch exceeds budget");
-    return;
-  }
   for (auto _ : state) {
     auto result = gee::core::embed(f.graph, f.labels, options);
     benchmark::DoNotOptimize(result.z.data());
@@ -245,12 +192,7 @@ void BM_EdgePass(benchmark::State& state, gee::core::Options options) {
   state.SetLabel("ns/arc shown by items/s");
 }
 // Historical case names keep their meaning across the perf trajectory:
-// `partitioned` is that backend at its defaults (unblocked -- the blocked
-// schedule measured slower here, see Options::partition_block_bytes);
-// `partitioned_blocked` pins the 256 KiB cache-blocked geometry so the
-// trade stays measured on every machine the trajectory touches;
-// `partitioned_blocked_l1` pins a 32 KiB (L1-sized) geometry beside it so
-// a blocking-threshold regression shows up as the two cases converging.
+// `partitioned` is that backend at its defaults.
 BENCHMARK_CAPTURE(BM_EdgePass, compiled_serial,
                   {.backend = Backend::kCompiledSerial})
     ->Unit(benchmark::kMillisecond);
@@ -264,28 +206,6 @@ BENCHMARK_CAPTURE(BM_EdgePass, flat_parallel,
                   {.backend = Backend::kFlatParallel})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EdgePass, partitioned, {.backend = Backend::kPartitioned})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EdgePass, partitioned_blocked,
-                  (gee::core::Options{.backend = Backend::kPartitioned,
-                                      .partition_block_bytes = 256 << 10}))
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EdgePass, partitioned_blocked_l1,
-                  (gee::core::Options{.backend = Backend::kPartitioned,
-                                      .partition_block_bytes = 32 << 10}))
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EdgePass, replicated, {.backend = Backend::kReplicated})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(
-    BM_EdgePass, replicated_float,
-    (gee::core::Options{
-        .backend = Backend::kReplicated,
-        .replicated_precision = gee::core::Precision::kFloat}))
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(
-    BM_EdgePass, replicated_bf16,
-    (gee::core::Options{
-        .backend = Backend::kReplicated,
-        .replicated_precision = gee::core::Precision::kBf16}))
     ->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------------------- JSON baseline

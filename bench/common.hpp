@@ -96,23 +96,18 @@ inline PreparedGraph prepare(const Workload& w, std::uint64_t seed) {
 /// Best-of-N wall time of one configuration's edge pass + projection (the
 /// paper times the full GEE computation, not graph loading). Slow serial
 /// backends run once; fast ones run `repeats()` times.
-inline double time_backend(const PreparedGraph& p,
-                           const core::Options& options) {
-  const bool slow = options.backend == core::Backend::kInterpreted ||
-                    options.backend == core::Backend::kCompiledSerial ||
-                    options.backend == core::Backend::kLigraSerial;
+inline double time_backend(const PreparedGraph& p, core::Backend backend) {
+  const bool slow = backend == core::Backend::kInterpreted ||
+                    backend == core::Backend::kCompiledSerial ||
+                    backend == core::Backend::kLigraSerial;
   const int reps = slow ? 1 : repeats();
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
-    const auto result = core::embed(p.graph, p.labels, options);
+    const auto result = core::embed(p.graph, p.labels, {.backend = backend});
     best = std::min(best, result.timings.projection +
                               result.timings.edge_pass);
   }
   return best;
-}
-
-inline double time_backend(const PreparedGraph& p, core::Backend backend) {
-  return time_backend(p, core::Options{.backend = backend});
 }
 
 /// Print and optionally persist a table (GEE_BENCH_CSV_DIR).

@@ -13,7 +13,6 @@
 #include "gen/rmat.hpp"
 #include "graph/validation.hpp"
 #include "parallel/parallel_for.hpp"
-#include "partition/tile_accumulator.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -68,45 +67,19 @@ int main(int argc, char** argv) {
     if (backend == Backend::kInterpreted && args.get_flag("skip-interpreted")) {
       continue;
     }
-    if (backend == Backend::kReplicated) {
-      // One private n x K tile per thread: skip rather than OOM a
-      // many-core machine at large --scale.
-      const auto scratch =
-          gee::partition::replicated_scratch_bytes(g.num_vertices(), k);
-      if (scratch > gee::partition::kReplicatedScratchBudget) {
-        std::printf("replicated: skipped (%.1f GiB of tile scratch needed)\n",
-                    static_cast<double>(scratch) / (1 << 30));
-        continue;
-      }
-    }
     const auto result = gee::core::embed(g, labels, {.backend = backend});
     if (backend == Backend::kCompiledSerial) {
       compiled_serial_time = result.timings.edge_pass;
     }
-    auto emit_row = [&](const std::string& name,
-                        const gee::core::Timings& timings) {
-      table.begin_row();
-      table.cell(name);
-      table.cell(gee::util::format_seconds(timings.edge_pass));
-      table.cell(gee::util::format_seconds(timings.total));
-      table.cell(compiled_serial_time > 0
-                     ? gee::util::format_double(
-                           compiled_serial_time / timings.edge_pass, 3) +
-                           "x"
-                     : "-");
-    };
-    emit_row(gee::core::to_string(backend), result.timings);
-    if (backend == Backend::kPartitioned) {
-      // Same embedding bitwise, different schedule geometry: this row
-      // shows what the 256 KiB cache-blocked plan costs or buys on the
-      // current machine (see Options::partition_block_bytes on why it is
-      // off by default).
-      const auto blocked = gee::core::embed(
-          g, labels,
-          {.backend = Backend::kPartitioned,
-           .partition_block_bytes = 256 << 10});
-      emit_row("partitioned (blocked 256K)", blocked.timings);
-    }
+    table.begin_row();
+    table.cell(gee::core::to_string(backend));
+    table.cell(gee::util::format_seconds(result.timings.edge_pass));
+    table.cell(gee::util::format_seconds(result.timings.total));
+    table.cell(compiled_serial_time > 0
+                   ? gee::util::format_double(
+                         compiled_serial_time / result.timings.edge_pass, 3) +
+                         "x"
+                   : "-");
   }
   table.print(std::cout);
 

@@ -74,18 +74,6 @@ void pass_flat_edges(const graph::EdgeList& edges, Atomicity atomicity,
 void pass_partitioned(const partition::EdgePartitionPlan& plan,
                       const PassContext& ctx);
 
-/// Thread-replicated accumulation (Backend::kReplicated): per-worker
-/// private Z tiles over a slice of the arcs, then a parallel tree
-/// reduction into ctx.z. `precision` selects the tile element type
-/// (Options::replicated_precision); the output and the tree combine are
-/// always Real.
-void pass_replicated_csr(const graph::Csr& arcs, ArcSemantics semantics,
-                         const PassContext& ctx,
-                         Precision precision = Precision::kDouble);
-void pass_replicated_edges(const graph::EdgeList& edges,
-                           const PassContext& ctx,
-                           Precision precision = Precision::kDouble);
-
 /// Boxed-value bytecode interpreter (Backend::kInterpreted). `dense_w` is
 /// the n x k dense projection matrix (Algorithm 1 reads W(v, Y(v)) by
 /// indexing, and so does the interpreter).

@@ -8,17 +8,12 @@
 // traversal sends dest-side writes into other workers' rows -- exactly the
 // race of the paper's Figure 1 that its atomics pay for.
 //
-// Locality bonus: a block's writes span only rows [row_lo, row_hi) of Z --
-// K * (row_hi - row_lo) doubles, which for moderate P fits in LLC even when
-// Z is gigabytes. The atomic backends scatter writes across all of Z.
+// Locality bonus: a block's writes span only rows [row_lo, row_hi) of Z,
+// where the atomic backends scatter writes across all of Z.
 #include "gee/backends/pass.hpp"
 #include "parallel/parallel_for.hpp"
-#include "partition/tile_pool.hpp"
 
 namespace gee::core::detail {
-
-static_assert(std::is_same_v<Real, partition::Real>,
-              "TilePool/plan scratch precision must match core::Real");
 
 namespace {
 
@@ -38,10 +33,9 @@ void pass_partitioned(const partition::EdgePartitionPlan& plan,
     const auto block = plan.block(p);
     const std::size_t count = block.rows.size();
     // One entry of Algorithm 1, applied in stored (arc) order -- the
-    // bitwise-equality invariant. With a cache-blocked plan the z writes
-    // span only this block's [row_lo, row_hi) slice, so the only
-    // data-dependent misses left are the labels/vertex_weight reads the
-    // prefetch hints target.
+    // bitwise-equality invariant. The z writes stay inside this block's
+    // [row_lo, row_hi) slice; the data-dependent labels/vertex_weight
+    // reads are what the prefetch hints target.
     const auto step = [&](std::size_t i) {
       const VertexId other = block.others[i];
       const std::int32_t y = ctx.labels[other];

@@ -22,16 +22,6 @@ std::string to_string(Backend backend) {
     case Backend::kParallelPull: return "parallel-pull";
     case Backend::kFlatParallel: return "flat-parallel";
     case Backend::kPartitioned: return "partitioned";
-    case Backend::kReplicated: return "replicated";
-  }
-  return "?";
-}
-
-std::string to_string(Precision precision) {
-  switch (precision) {
-    case Precision::kDouble: return "double";
-    case Precision::kFloat: return "float";
-    case Precision::kBf16: return "bf16";
   }
   return "?";
 }
@@ -186,25 +176,17 @@ Result embed(const graph::Graph& g, std::span<const std::int32_t> labels,
       // (the reweighting itself is still paid per call).
       const std::uint32_t variant =
           options.laplacian ? (1u | (options.diag_augment ? 2u : 0u)) : 0u;
-      const partition::BlockingSpec spec{
-          partition::resolve_num_blocks(options.partition_blocks),
-          partition::block_row_cap(options.partition_block_bytes,
-                                   p.projection.num_classes)};
       const auto plan = partition::plan_for(
           g, graph->out(),
           semantics == ArcSemantics::kBoth ? partition::UpdateSides::kBoth
                                            : partition::UpdateSides::kDestOnly,
-          spec, variant);
+          partition::resolve_num_blocks(options.partition_blocks), variant);
       // First call pays partitioning (reported like embed_edges' CSR
       // build); later calls on the same graph hit the AuxCache.
       p.timings.graph_build = phase.restart();
       detail::pass_partitioned(*plan, ctx);
       break;
     }
-    case Backend::kReplicated:
-      detail::pass_replicated_csr(graph->out(), semantics, ctx,
-                                  options.replicated_precision);
-      break;
   }
   edge_pass_span.end();
   p.timings.edge_pass = phase.restart();
@@ -264,20 +246,13 @@ Result embed_edges(const graph::EdgeList& edges,
       p.timings.edge_pass = phase.seconds();
       break;
     case Backend::kPartitioned: {
-      const auto plan = partition::build_plan(
-          *list, partition::BlockingSpec{
-                     partition::resolve_num_blocks(options.partition_blocks),
-                     partition::block_row_cap(options.partition_block_bytes,
-                                              p.projection.num_classes)});
+      const auto plan =
+          partition::build_plan(*list, options.partition_blocks);
       p.timings.graph_build = phase.restart();
       detail::pass_partitioned(plan, ctx);
       p.timings.edge_pass = phase.seconds();
       break;
     }
-    case Backend::kReplicated:
-      detail::pass_replicated_edges(*list, ctx, options.replicated_precision);
-      p.timings.edge_pass = phase.seconds();
-      break;
     case Backend::kLigraSerial:
     case Backend::kLigraParallel:
     case Backend::kParallelUnsafe:

@@ -36,14 +36,9 @@ using NeighborRef = std::pair<graph::VertexId, graph::Weight>;
 /// `add(cell, delta)` commits the update -- plain `+=` from single-writer
 /// code, par::write_add from concurrent kernels. This is Algorithm 1's
 /// line 10/11 body with the destination row already resolved.
-///
-/// The row cell type `Acc` is usually Real; the replicated backend's
-/// reduced-precision tiles instantiate it at float / simd::bf16_t with an
-/// AddFn that owns the storage conversion (see pass_replicated.cpp). The
-/// delta itself is always computed in Real.
-template <class Acc, class AddFn>
+template <class AddFn>
 inline void accumulate_neighbor_mass(const std::int32_t* labels,
-                                     const Real* vertex_weight, Acc* row,
+                                     const Real* vertex_weight, Real* row,
                                      graph::VertexId v, Real w, AddFn&& add) {
   const std::int32_t y = labels[v];
   if (y >= 0) add(row[y], vertex_weight[v] * w);

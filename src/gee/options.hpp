@@ -42,10 +42,6 @@ enum class Backend : std::uint8_t {
   /// (stable bucketing preserves per-cell accumulation order -- DESIGN.md
   /// section 5). The plan is cached on the Graph across embed() calls.
   kPartitioned,
-  /// Thread-replicated Z: each worker accumulates a private n x K tile
-  /// (leased from the TilePool), tiles reduced tree-wise afterwards. The
-  /// memory-for-contention trade; deterministic at a fixed thread count.
-  kReplicated,
 };
 
 /// Every Backend value, in declaration order (CLI parsers and backend
@@ -55,29 +51,14 @@ inline constexpr Backend kAllBackends[] = {
     Backend::kLigraSerial,    Backend::kLigraParallel,
     Backend::kParallelUnsafe, Backend::kParallelPull,
     Backend::kFlatParallel,   Backend::kPartitioned,
-    Backend::kReplicated,
 };
 // When adding a Backend: append it to kAllBackends AND update the last
 // enumerator named here; the assert catches insertions that shift values.
-static_assert(static_cast<std::size_t>(Backend::kReplicated) + 1 ==
+static_assert(static_cast<std::size_t>(Backend::kPartitioned) + 1 ==
                   std::size(kAllBackends),
               "kAllBackends is out of sync with the Backend enum");
 
 [[nodiscard]] std::string to_string(Backend backend);
-
-/// Accumulation precision of the replicated backend's private tiles
-/// (Options::replicated_precision). Tiles are scratch -- the output Z is
-/// always Real -- so this trades per-tile bandwidth/footprint against
-/// rounding confined to the tile stage. Equality classes vs kDouble are
-/// documented in DESIGN.md section 9 and asserted by the conformance
-/// harness.
-enum class Precision : std::uint8_t {
-  kDouble,  ///< Real tiles: the reference behavior
-  kFloat,   ///< float tiles, float per-edge adds, Real tree reduce
-  kBf16,    ///< bf16-storage tiles, float compute per add, Real tree reduce
-};
-
-[[nodiscard]] std::string to_string(Precision precision);
 
 /// How DynamicGee (src/stream/) folds a coalesced update batch into Z
 /// (Options::stream_update_strategy). The delta strategies touch each
@@ -149,24 +130,6 @@ struct Options {
   /// The embedding is identical for every P (see Backend::kPartitioned);
   /// P only shapes load balance and the per-block working set.
   int partition_blocks = 0;
-
-  /// Cache-blocking byte budget for Backend::kPartitioned: blocks from
-  /// `partition_blocks` whose Z slice (rows x K x 8 bytes) would exceed
-  /// this are subdivided into equal row ranges so the scatter's write
-  /// window stays cache-resident. The embedding is bitwise identical for
-  /// every value -- subdividing never reorders a cell's accumulation --
-  /// but localizing the writes scatters the source-side label/weight
-  /// reads, and on the measurement machine that trade loses at every
-  /// geometry (DESIGN.md section 9), so the default is off (<= 0: one
-  /// block per thread). Measure before enabling: bench_micro's
-  /// `partitioned` vs `partitioned_blocked` cases are the A/B.
-  std::int64_t partition_block_bytes = 0;
-
-  /// Tile precision for Backend::kReplicated (ignored by every other
-  /// backend). kDouble preserves that backend's documented equality
-  /// class; kFloat/kBf16 trade tile precision for bandwidth and are
-  /// accurate to their storage format's ulp (DESIGN.md section 9).
-  Precision replicated_precision = Precision::kDouble;
 
   /// Streaming (src/stream/ DynamicGee): a batch with at least this many
   /// coalesced updates is bucketed through the edge partitioner and applied

@@ -2,8 +2,8 @@
 //
 // The serving and streaming subsystems run hot enough that observability
 // must be cheaper than the thing observed, so every write-side primitive is
-// sharded per thread (the same cache-line discipline as partition::TilePool's
-// per-thread tiles): an increment is one relaxed fetch_add on the calling
+// sharded per thread, one cache line per shard: an increment is one relaxed
+// fetch_add on the calling
 // thread's padded slot, never a lock and never a shared line under steady
 // state. Reads (value(), quantile(), snapshot_json()) merge the shards --
 // they are scrape-path operations and may be slow.

@@ -17,30 +17,13 @@ constexpr std::uint64_t kPlanKeyTag = (std::uint64_t{'P'} << 56) |
                                       (std::uint64_t{'L'} << 48) |
                                       (std::uint64_t{'N'} << 40);
 
-/// Blocked plans key under a disjoint top byte ('B' != 'P') because the
-/// extra geometry field doesn't fit next to the 24-bit "PLN" tag. Every
-/// field is encoded exactly -- a collision would silently serve a plan of
-/// the wrong geometry: variant < 16 at bits 51..54, sides at bit 50,
-/// max_block_rows < 2^27 at bits 21..47 (block_row_cap's clamp), resolved
-/// num_blocks <= 2^20 at bits 0..20.
-constexpr std::uint64_t kBlockedKeyTag = std::uint64_t{'B'} << 56;
-
 constexpr int kMaxBlocks = 1 << 20;
-constexpr VertexId kMaxBlockRows = (VertexId{1} << 27) - 1;
 
 std::uint64_t plan_key(UpdateSides sides, int num_blocks,
                        std::uint32_t variant) {
   return kPlanKeyTag | (static_cast<std::uint64_t>(variant) << 34) |
          (static_cast<std::uint64_t>(sides) << 32) |
          static_cast<std::uint32_t>(num_blocks);
-}
-
-std::uint64_t blocked_plan_key(UpdateSides sides, BlockingSpec spec,
-                               std::uint32_t variant) {
-  return kBlockedKeyTag | (static_cast<std::uint64_t>(variant) << 51) |
-         (static_cast<std::uint64_t>(sides) << 50) |
-         (static_cast<std::uint64_t>(spec.max_block_rows) << 21) |
-         static_cast<std::uint64_t>(spec.num_blocks);
 }
 
 /// Visit arcs [lo, hi) of `arcs` in storage order as (u, v, w). Storage
@@ -60,50 +43,6 @@ void for_arcs_in_range(const graph::Csr& arcs, EdgeId lo, EdgeId hi,
     while (offsets[u + 1] <= e) ++u;
     fn(u, targets[e], weights.empty() ? Weight{1} : weights[e]);
   }
-}
-
-/// Degree-weighted boundary selection: choose row_starts so each block's
-/// entry count is as close to total/P as row granularity allows. A
-/// nonzero `max_block_rows` then subdivides every block whose row span
-/// exceeds it into equal row ranges (cache blocking: span x K doubles of
-/// Z per block). Subdividing only ADDS boundaries, so entry order within
-/// each block -- and therefore per-cell accumulation order -- is the same
-/// as with the coarse boundaries: the bitwise-equality invariant holds
-/// for any cap.
-std::vector<VertexId> select_boundaries(
-    const std::vector<std::uint64_t>& entry_prefix, int num_blocks,
-    VertexId max_block_rows) {
-  auto starts = split_by_weight(std::span<const std::uint64_t>(entry_prefix),
-                                num_blocks);
-  if (max_block_rows <= 0) return starts;
-
-  // Keep the subdivided count within the plan-wide block budget; the
-  // effective cap is a pure function of (requested cap, n, num_blocks),
-  // so plans stay deterministic and cacheable by the requested value.
-  const VertexId n = starts.back();
-  VertexId cap = max_block_rows;
-  while (n / cap + static_cast<VertexId>(num_blocks) >
-         static_cast<VertexId>(kMaxBlocks)) {
-    cap *= 2;
-  }
-
-  std::vector<VertexId> out;
-  out.reserve(starts.size());
-  out.push_back(starts.front());
-  for (std::size_t p = 0; p + 1 < starts.size(); ++p) {
-    const VertexId lo = starts[p];
-    const VertexId hi = starts[p + 1];
-    const VertexId span = hi - lo;
-    if (span > cap) {
-      const VertexId pieces = (span + cap - 1) / cap;
-      for (VertexId q = 1; q < pieces; ++q) {
-        out.push_back(lo + static_cast<VertexId>(
-                               static_cast<std::uint64_t>(span) * q / pieces));
-      }
-    }
-    out.push_back(hi);
-  }
-  return out;
 }
 
 /// The stable parallel counting sort shared by every plan builder.
@@ -199,22 +138,9 @@ std::vector<VertexId> subset_slices(std::span<const graph::EdgeId> row_weights,
   return split_by_weight<graph::EdgeId>(prefix, std::max(1, parts));
 }
 
-VertexId block_row_cap(long long block_bytes, int k) {
-  if (block_bytes <= 0) return 0;
-  const long long rows = block_bytes / (static_cast<long long>(k) *
-                                        static_cast<long long>(sizeof(double)));
-  return static_cast<VertexId>(
-      std::clamp(rows, 1LL, static_cast<long long>(kMaxBlockRows)));
-}
-
 EdgePartitionPlan build_plan(const graph::Csr& arcs, UpdateSides sides,
                              int num_blocks) {
-  return build_plan(arcs, sides, BlockingSpec{num_blocks, 0});
-}
-
-EdgePartitionPlan build_plan(const graph::Csr& arcs, UpdateSides sides,
-                             BlockingSpec spec) {
-  const int num_blocks = resolve_num_blocks(spec.num_blocks);
+  num_blocks = resolve_num_blocks(num_blocks);
   const VertexId n = arcs.num_vertices();
   const EdgeId m = arcs.num_edges();
   const bool both = sides == UpdateSides::kBoth;
@@ -244,8 +170,7 @@ EdgePartitionPlan build_plan(const graph::Csr& arcs, UpdateSides sides,
                                        static_cast<std::size_t>(n));
 
   plan.row_starts =
-      select_boundaries(prefix, num_blocks, spec.max_block_rows);
-  plan.num_blocks = static_cast<int>(plan.row_starts.size()) - 1;
+      split_by_weight(std::span<const std::uint64_t>(prefix), num_blocks);
   const auto block_table = invert_boundaries(plan.row_starts);
   const auto block_of = [&](VertexId r) { return block_table[r]; };
 
@@ -268,11 +193,7 @@ EdgePartitionPlan build_plan(const graph::Csr& arcs, UpdateSides sides,
 }
 
 EdgePartitionPlan build_plan(const graph::EdgeList& edges, int num_blocks) {
-  return build_plan(edges, BlockingSpec{num_blocks, 0});
-}
-
-EdgePartitionPlan build_plan(const graph::EdgeList& edges, BlockingSpec spec) {
-  const int num_blocks = resolve_num_blocks(spec.num_blocks);
+  num_blocks = resolve_num_blocks(num_blocks);
   const VertexId n = edges.num_vertices();
   const EdgeId m = edges.num_edges();
   const EdgeId num_entries = 2 * m;
@@ -299,8 +220,7 @@ EdgePartitionPlan build_plan(const graph::EdgeList& edges, BlockingSpec spec) {
                                        static_cast<std::size_t>(n));
 
   plan.row_starts =
-      select_boundaries(prefix, num_blocks, spec.max_block_rows);
-  plan.num_blocks = static_cast<int>(plan.row_starts.size()) - 1;
+      split_by_weight(std::span<const std::uint64_t>(prefix), num_blocks);
   const auto block_table = invert_boundaries(plan.row_starts);
   const auto block_of = [&](VertexId r) { return block_table[r]; };
 
@@ -397,22 +317,13 @@ std::shared_ptr<const EdgePartitionPlan> plan_for(const graph::Graph& g,
 std::shared_ptr<const EdgePartitionPlan> plan_for(
     const graph::Graph& cache_on, const graph::Csr& arcs, UpdateSides sides,
     int num_blocks, std::uint32_t variant) {
-  return plan_for(cache_on, arcs, sides, BlockingSpec{num_blocks, 0},
-                  variant);
-}
-
-std::shared_ptr<const EdgePartitionPlan> plan_for(
-    const graph::Graph& cache_on, const graph::Csr& arcs, UpdateSides sides,
-    BlockingSpec spec, std::uint32_t variant) {
-  const std::uint64_t key =
-      spec.max_block_rows == 0
-          ? plan_key(sides, spec.num_blocks, variant)
-          : blocked_plan_key(sides, spec, variant);
+  const std::uint64_t key = plan_key(sides, num_blocks, variant);
   if (auto hit = std::static_pointer_cast<const EdgePartitionPlan>(
           cache_on.aux().find(key))) {
     return hit;
   }
-  auto plan = std::make_shared<EdgePartitionPlan>(build_plan(arcs, sides, spec));
+  auto plan = std::make_shared<EdgePartitionPlan>(
+      build_plan(arcs, sides, num_blocks));
   return std::static_pointer_cast<const EdgePartitionPlan>(
       cache_on.aux().insert(key, std::move(plan)));
 }

@@ -28,31 +28,14 @@ namespace gee::partition {
 /// [1, 2^20]; 0 or negative means one block per current OpenMP thread).
 [[nodiscard]] int resolve_num_blocks(int requested);
 
-/// Cache-blocked plan geometry (DESIGN.md section 9). `num_blocks` seeds
-/// the entry-weighted quantile boundaries exactly as the int overloads do;
-/// `max_block_rows` then subdivides any block whose row span exceeds it
-/// into equal row ranges, so each block's Z slice (rows x K doubles) stays
-/// cache-resident while the scatter runs over it. 0 = uncapped (the
-/// legacy thread-count geometry). Subdivision only adds boundaries --
-/// entry order inside every block is still the original arc order, so the
-/// partitioned pass stays bitwise-equal to serial for ANY spec.
-struct BlockingSpec {
-  int num_blocks = 0;
-  graph::VertexId max_block_rows = 0;
-};
-
-/// Row cap for a Z-slice byte budget: clamp(block_bytes / (k * 8),
-/// 1, 2^27 - 1). Non-positive `block_bytes` means uncapped (returns 0).
-[[nodiscard]] graph::VertexId block_row_cap(long long block_bytes, int k);
-
 /// Weighted quantile split: `parts` + 1 nondecreasing boundaries over
 /// [0, n) such that each [b[t], b[t+1]) carries a near-equal share of the
 /// total weight. `prefix` must hold n + 1 nondecreasing values with
 /// prefix[0] == 0 (an exclusive prefix sum with the total appended -- a
 /// CSR offset array qualifies). A single position heavier than
 /// total/parts still bounds the skew: boundaries cannot split a position.
-/// Shared by the partitioner's entry-weighted block boundaries and the
-/// replicated backend's arc-weighted worker slices.
+/// Shared by the partitioner's entry-weighted block boundaries and
+/// shard::ShardMap's vertex ranges.
 template <class T>
 [[nodiscard]] std::vector<graph::VertexId> split_by_weight(
     std::span<const T> prefix, int parts) {
@@ -92,21 +75,11 @@ template <class T>
 [[nodiscard]] EdgePartitionPlan build_plan(const graph::Csr& arcs,
                                            UpdateSides sides, int num_blocks);
 
-/// As above with a row-span cap; plan.num_blocks reflects the count after
-/// subdivision (>= resolve_num_blocks(spec.num_blocks)).
-[[nodiscard]] EdgePartitionPlan build_plan(const graph::Csr& arcs,
-                                           UpdateSides sides,
-                                           BlockingSpec spec);
-
 /// Split a raw edge list (Algorithm 1's E matrix; always both update
 /// sides). Entries appear in the serial reference order: per edge the
 /// source-side entry first, then the dest-side one.
 [[nodiscard]] EdgePartitionPlan build_plan(const graph::EdgeList& edges,
                                            int num_blocks);
-
-/// Edge-list variant with a row-span cap.
-[[nodiscard]] EdgePartitionPlan build_plan(const graph::EdgeList& edges,
-                                           BlockingSpec spec);
 
 /// Sparse variant for streaming delta batches (src/stream/): partition a
 /// (typically tiny) edge list over the full row space [0, edges.
@@ -133,13 +106,5 @@ template <class T>
 [[nodiscard]] std::shared_ptr<const EdgePartitionPlan> plan_for(
     const graph::Graph& cache_on, const graph::Csr& arcs, UpdateSides sides,
     int num_blocks, std::uint32_t variant);
-
-/// Cached blocked variant. spec.num_blocks must already be resolved (> 0);
-/// spec.max_block_rows must fit the key encoding (< 2^27, which
-/// block_row_cap guarantees). A spec with max_block_rows == 0 shares the
-/// legacy cache entries of the int overload.
-[[nodiscard]] std::shared_ptr<const EdgePartitionPlan> plan_for(
-    const graph::Graph& cache_on, const graph::Csr& arcs, UpdateSides sides,
-    BlockingSpec spec, std::uint32_t variant);
 
 }  // namespace gee::partition

@@ -15,9 +15,8 @@
 //    boundaries rather than a cut metric.
 //  * kReplicated -- every shard holds the full graph. Any replica answers
 //    any request (lookups included) bitwise-identically, so the router
-//    spreads ALL traffic round-robin and full-range scans need no merge.
-//    The memory-for-routing-freedom trade of the replicated backend, one
-//    level up.
+//    spreads ALL traffic round-robin and full-range scans need no merge:
+//    memory traded for routing freedom.
 //
 // In both modes the full label vector (and therefore W) is shared: the
 // projection depends on global class counts, so every shard synthesizes

@@ -1,10 +1,9 @@
 // Portable SIMD layer for K-wide row arithmetic (DESIGN.md section 9).
 //
 // The dense consumers of the embedding -- argmax classification, row
-// normalization, k-means distances, the replicated backend's tile
-// reduction, serving-side row synthesis -- all loop over K-length rows of
-// Real. This header gives them one vocabulary of row primitives, each with
-// two interchangeable implementations:
+// normalization, k-means distances, serving-side row synthesis -- all loop
+// over K-length rows of Real. This header gives them one vocabulary of row
+// primitives, each with two interchangeable implementations:
 //
 //  * vec::  -- GCC/Clang vector extensions (`vector_size`), fixed 32-byte
 //    vectors (4 doubles). The compiler lowers them to whatever the target

@@ -12,10 +12,10 @@
 //    and thread count (stable bucketing; DESIGN.md section 5). Serial
 //    executions of order-preserving traversals also qualify: all backends
 //    walk the CSR in row order at one thread (graph path), and the
-//    flat/replicated/interpreted kernels walk the raw edge array in order
-//    (edge-list path). kParallelPull qualifies on the undirected graph
-//    path at ANY thread count: each row is owned by one worker that scans
-//    the sorted in-CSR, so per-cell order is thread-invariant.
+//    flat/interpreted kernels walk the raw edge array in order (edge-list
+//    path). kParallelPull qualifies on the undirected graph path at ANY
+//    thread count: each row is owned by one worker that scans the sorted
+//    in-CSR, so per-cell order is thread-invariant.
 //  * ULP TOLERANCE: reassociation-only differences. Engine backends on
 //    the edge-list path regroup the edges by source when building the
 //    temporary CSR, and atomic backends at > 1 thread interleave
@@ -103,8 +103,6 @@ Expectation expectation(Backend backend) {
       return {true, true, false, true, false};
     case Backend::kPartitioned:  // bitwise by construction, everywhere
       return {true, true, true, true, true};
-    case Backend::kReplicated:
-      return {true, true, false, true, false};
   }
   ADD_FAILURE() << "unclassified backend " << core::to_string(backend);
   return {};
@@ -156,52 +154,18 @@ TEST(BackendConformance, EveryBackendMatchesCompiledSerial) {
   }
 }
 
-// Cache-blocked partition schedules (Options::partition_block_bytes) must
-// preserve kPartitioned's bitwise class for EVERY geometry: subdividing
-// blocks adds boundaries but never reorders a cell's accumulation
-// (DESIGN.md section 9). Sweeps caps from "every row its own block"-small
-// to 256 KiB, crossed with explicit block counts, on both input paths at
-// multiple threads. The default-option matrix above runs the uncapped
-// default; this pins the invariant across the whole knob range.
-TEST(BackendConformance, BlockedPlansStayBitwiseEqualToSerial) {
-  for (const auto& rg : testutil::random_graph_matrix(4242, small_params())) {
-    const graph::Graph g =
-        graph::Graph::build(rg.edges, graph::GraphKind::kUndirected);
-    const Options serial{.backend = Backend::kCompiledSerial};
-    const auto ref_graph = core::embed(g, rg.labels, serial);
-    const auto ref_edges = core::embed_edges(rg.edges, rg.labels, serial);
-    for (const std::int64_t block_bytes : {0, 512, 4096, 32768, 256 << 10}) {
-      for (const int blocks : {0, 7}) {
-        SCOPED_TRACE(rg.name + " / block_bytes=" +
-                     std::to_string(block_bytes) + " / blocks=" +
-                     std::to_string(blocks));
-        const Options options{.backend = Backend::kPartitioned,
-                              .num_threads = 4,
-                              .partition_blocks = blocks,
-                              .partition_block_bytes = block_bytes};
-        const auto got_graph = core::embed(g, rg.labels, options);
-        EXPECT_EQ(max_abs_diff(got_graph.z, ref_graph.z), 0.0);
-        const auto got_edges = core::embed_edges(rg.edges, rg.labels, options);
-        EXPECT_EQ(max_abs_diff(got_edges.z, ref_edges.z), 0.0);
-      }
-    }
-  }
-}
-
 // The SIMD layer's documented equality classes, observed end-to-end
 // through embed(): the edge pass itself is scalar scatter (no lane math),
 // so plain embeddings are bitwise-invariant to the runtime SIMD switch;
-// kReplicated's lane-wise tree reduce preserves the per-cell tree shape
-// (bitwise); row normalization (correlation) reduces with lane partials,
-// so SIMD on-vs-off lands in the ulp class there.
+// row normalization (correlation) reduces with lane partials, so SIMD
+// on-vs-off lands in the ulp class there.
 TEST(BackendConformance, SimdOnOffClasses) {
   const bool prev = simd::enabled();
   for (const auto& rg : testutil::random_graph_matrix(5151, small_params())) {
     const graph::Graph g =
         graph::Graph::build(rg.edges, graph::GraphKind::kUndirected);
     for (const Backend backend :
-         {Backend::kCompiledSerial, Backend::kPartitioned,
-          Backend::kReplicated}) {
+         {Backend::kCompiledSerial, Backend::kPartitioned}) {
       SCOPED_TRACE(rg.name + " / " + core::to_string(backend));
       const Options plain{.backend = backend, .num_threads = 4};
       Options corr = plain;
@@ -224,47 +188,14 @@ TEST(BackendConformance, SimdOnOffClasses) {
   simd::set_enabled(prev);
 }
 
-// Reduced-precision replicated tiles (Options::replicated_precision):
-// kFloat carries float's ~2^-24 relative error per tile add, kBf16 an
-// 8-bit significand's ~2^-9 -- both confined to the tile stage (the tree
-// reduce widens to double). Tolerances are relative to the reference's
-// largest magnitude with an order of magnitude of headroom over the
-// accumulated worst case at these degrees.
-TEST(BackendConformance, ReplicatedReducedPrecisionClasses) {
-  for (const auto& rg : testutil::random_graph_matrix(6363, small_params())) {
-    const graph::Graph g =
-        graph::Graph::build(rg.edges, graph::GraphKind::kUndirected);
-    const Options base{.backend = Backend::kReplicated, .num_threads = 4};
-    const auto ref = core::embed(g, rg.labels, base);
-    const core::Embedding zero(ref.z.num_vertices(), ref.z.dim());
-    const double scale = max_abs_diff(ref.z, zero);
-    ASSERT_GT(scale, 0.0);
-
-    Options opt = base;
-    opt.replicated_precision = core::Precision::kFloat;
-    const auto as_float = core::embed(g, rg.labels, opt);
-    EXPECT_LT(max_abs_diff(as_float.z, ref.z), 1e-4 * scale)
-        << rg.name << ": float tiles out of class";
-
-    opt.replicated_precision = core::Precision::kBf16;
-    const auto as_bf16 = core::embed(g, rg.labels, opt);
-    EXPECT_LT(max_abs_diff(as_bf16.z, ref.z), 5e-2 * scale)
-        << rg.name << ": bf16 tiles out of class";
-
-    // Reduced precision is still deterministic at a fixed thread count.
-    const auto again = core::embed(g, rg.labels, opt);
-    EXPECT_EQ(max_abs_diff(again.z, as_bf16.z), 0.0);
-  }
-}
-
 // Backends whose output is a pure function of (input, thread count) must
 // reproduce themselves exactly across runs. The atomic push backends
 // (kLigraParallel, kFlatParallel, kParallelUnsafe) are excluded above one
 // thread: scheduling picks the interleaving.
 TEST(BackendConformance, DeterministicBackendsReproduceAcrossRuns) {
   const Backend deterministic[] = {
-      Backend::kInterpreted,  Backend::kLigraSerial, Backend::kParallelPull,
-      Backend::kPartitioned,  Backend::kReplicated,
+      Backend::kInterpreted, Backend::kLigraSerial, Backend::kParallelPull,
+      Backend::kPartitioned,
   };
   for (const auto& rg : testutil::random_graph_matrix(77, small_params())) {
     const graph::Graph g =

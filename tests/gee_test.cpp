@@ -27,7 +27,7 @@ constexpr Backend kExactBackends[] = {
     Backend::kInterpreted,  Backend::kCompiledSerial,
     Backend::kLigraSerial,  Backend::kLigraParallel,
     Backend::kParallelPull, Backend::kFlatParallel,
-    Backend::kPartitioned,  Backend::kReplicated,
+    Backend::kPartitioned,
 };
 
 /// Independent oracle: Algorithm 1 exactly as printed in the paper, over

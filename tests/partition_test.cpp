@@ -1,5 +1,5 @@
-// The edge-partition execution subsystem (src/partition/) and the two
-// backends built on it.
+// The edge-partition execution subsystem (src/partition/) and the backend
+// built on it.
 //
 //  * Partitioner invariants: boundaries cover the row space, blocks'
 //    entries land only in rows the block owns (the ownership invariant),
@@ -8,10 +8,9 @@
 //  * Backend contract: kPartitioned is BITWISE equal to kCompiledSerial
 //    (stable bucketing preserves every cell's accumulation order) on SBM /
 //    R-MAT / Erdős–Rényi graphs across weighted/unweighted x
-//    laplacian/diag_augment/correlation; kReplicated agrees up to
-//    floating-point reassociation.
-//  * Determinism: two runs at a fixed block count produce identical Z, for
-//    kPartitioned even across different block counts and thread counts.
+//    laplacian/diag_augment/correlation.
+//  * Determinism: two runs at a fixed block count produce identical Z, and
+//    so do different block counts and thread counts.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -21,10 +20,7 @@
 #include "gen/labels.hpp"
 #include "gen/rmat.hpp"
 #include "gen/sbm.hpp"
-#include "parallel/parallel_for.hpp"
 #include "partition/partitioner.hpp"
-#include "partition/tile_accumulator.hpp"
-#include "partition/tile_pool.hpp"
 #include "testing/random_graphs.hpp"
 #include "util/rng.hpp"
 
@@ -32,7 +28,6 @@ namespace {
 
 using namespace gee::core;
 using namespace gee::graph;
-using gee::par::ThreadScope;
 using gee::partition::EdgePartitionPlan;
 using gee::partition::UpdateSides;
 using gee::testutil::option_combos;
@@ -224,41 +219,6 @@ TEST(Partitioner, ResolveNumBlocks) {
   EXPECT_EQ(gee::partition::resolve_num_blocks(1 << 30), 1 << 20);
 }
 
-// ------------------------------------------------------- tile accumulator
-
-TEST(TilePool, RecyclesBuffers) {
-  auto& pool = gee::partition::TilePool::instance();
-  pool.trim();
-  {
-    gee::partition::TileAccumulator acc(1024, 3);
-    acc.zero_fill();
-  }
-  EXPECT_EQ(pool.pooled_count(), 3u);
-  {
-    gee::partition::TileAccumulator acc(512, 3);  // smaller fits pooled
-    EXPECT_EQ(pool.pooled_count(), 0u);
-  }
-  EXPECT_EQ(pool.pooled_count(), 3u);
-  pool.trim();
-  EXPECT_EQ(pool.pooled_count(), 0u);
-}
-
-TEST(TileAccumulator, TreeReductionSumsAllTiles) {
-  const std::size_t cells = 100;
-  gee::partition::TileAccumulator acc(cells, 5);
-  acc.zero_fill();
-  for (int t = 0; t < acc.num_tiles(); ++t) {
-    for (std::size_t i = 0; i < cells; ++i) {
-      acc.tile(t)[i] = static_cast<double>(t + 1);
-    }
-  }
-  std::vector<double> out(cells, 1.0);
-  acc.reduce_into(out.data());
-  for (std::size_t i = 0; i < cells; ++i) {
-    ASSERT_DOUBLE_EQ(out[i], 1.0 + 1 + 2 + 3 + 4 + 5);
-  }
-}
-
 // ----------------------------------------------- backend equality contract
 
 double max_diff(const Embedding& a, const Embedding& b) {
@@ -306,37 +266,6 @@ TEST(PartitionedBackend, BitwiseEqualOnDirectedGraphs) {
   EXPECT_EQ(max_diff(result.z, reference.z), 0.0);
 }
 
-TEST(ReplicatedBackend, MatchesCompiledSerialUpToReassociation) {
-  for (const auto& tg : test_graphs()) {
-    const Graph g = Graph::build(tg.edges, GraphKind::kUndirected);
-    const auto y = gee::gen::semi_supervised_labels(g.num_vertices(), 9,
-                                                    0.3, 5);
-    for (const auto& [combo_name, base] : option_combos(Backend::kReplicated)) {
-      SCOPED_TRACE(std::string(tg.name) + " / " + combo_name);
-      Options serial = base;
-      serial.backend = Backend::kCompiledSerial;
-      const auto reference = embed(g, y, serial);
-      const auto result = embed(g, y, base);
-      // Tile reduction reassociates the per-cell sum; values agree to fp
-      // accumulation error, not bitwise.
-      EXPECT_LT(max_diff(result.z, reference.z), 1e-9);
-    }
-  }
-}
-
-TEST(ReplicatedBackend, MatchesCompiledSerialOnEdgeListPath) {
-  for (const auto& tg : test_graphs()) {
-    const auto y = gee::gen::semi_supervised_labels(tg.edges.num_vertices(),
-                                                    6, 0.4, 9);
-    SCOPED_TRACE(tg.name);
-    const auto reference =
-        embed_edges(tg.edges, y, {.backend = Backend::kCompiledSerial});
-    const auto result =
-        embed_edges(tg.edges, y, {.backend = Backend::kReplicated});
-    EXPECT_LT(max_diff(result.z, reference.z), 1e-9);
-  }
-}
-
 // ------------------------------------------------------------- determinism
 
 TEST(PartitionedBackend, DeterministicAtFixedBlockCount) {
@@ -353,39 +282,29 @@ TEST(PartitionedBackend, DeterministicAtFixedBlockCount) {
 
 TEST(PartitionedBackend, IdenticalAcrossBlockAndThreadCounts) {
   // Stronger than the acceptance criterion: because a cell's accumulation
-  // order is the arc order for ANY block count, Z is identical across P
-  // and across thread counts, not merely across runs at fixed P.
+  // order is the arc order for ANY block count, Z equals the serial
+  // reference across P and across thread counts, on both input paths --
+  // not merely across runs at fixed P.
   const auto el = gee::gen::erdos_renyi_gnm(400, 8000, 61);
   const Graph g = Graph::build(el, GraphKind::kUndirected);
   const auto y = gee::gen::semi_supervised_labels(g.num_vertices(), 8,
                                                   0.3, 11);
-  Embedding reference;
-  {
-    ThreadScope scope(1);
-    reference = embed(g, y, {.backend = Backend::kPartitioned,
-                             .partition_blocks = 1})
-                    .z;
-  }
+  const Options serial{.backend = Backend::kCompiledSerial};
+  const auto ref_graph = embed(g, y, serial);
+  const auto ref_edges = embed_edges(el, y, serial);
   for (const int blocks : {2, 5, 16}) {
     for (const int threads : {2, 7}) {
-      const auto result = embed(g, y, {.backend = Backend::kPartitioned,
-                                       .num_threads = threads,
-                                       .partition_blocks = blocks});
-      EXPECT_EQ(max_diff(result.z, reference), 0.0)
-          << blocks << " blocks, " << threads << " threads";
+      const Options options{.backend = Backend::kPartitioned,
+                            .num_threads = threads,
+                            .partition_blocks = blocks};
+      EXPECT_EQ(max_diff(embed(g, y, options).z, ref_graph.z), 0.0)
+          << "graph path: " << blocks << " blocks, " << threads
+          << " threads";
+      EXPECT_EQ(max_diff(embed_edges(el, y, options).z, ref_edges.z), 0.0)
+          << "edge-list path: " << blocks << " blocks, " << threads
+          << " threads";
     }
   }
-}
-
-TEST(ReplicatedBackend, DeterministicAtFixedThreadCount) {
-  const auto el = gee::gen::rmat(10, 8, 71);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto y = gee::gen::semi_supervised_labels(g.num_vertices(), 10,
-                                                  0.2, 7);
-  const Options options{.backend = Backend::kReplicated, .num_threads = 4};
-  const auto first = embed(g, y, options);
-  const auto second = embed(g, y, options);
-  EXPECT_EQ(max_diff(first.z, second.z), 0.0);
 }
 
 // --------------------------------------------------------------- plumbing
@@ -407,7 +326,6 @@ TEST(PartitionedBackend, RepeatEmbedHitsThePlanCache) {
 
 TEST(Backends, ToStringCoversNewValues) {
   EXPECT_EQ(to_string(Backend::kPartitioned), "partitioned");
-  EXPECT_EQ(to_string(Backend::kReplicated), "replicated");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <thread>
@@ -463,7 +464,8 @@ TEST_F(RouterTest, CloseShedsEveryLaneAndReopenRestores) {
 
 // Reader threads hammer both router planes while the single writer
 // applies update batches through ShardSet::apply. Assertions are minimal
-// (replies well-formed); the value is TSan coverage of the full stack:
+// (replies well-formed, at least one async answer); the value is TSan
+// coverage of the full stack:
 // lane workers, snapshot pinning, per-shard epoch publication.
 TEST(ShardStress, RoutedReadsDuringShardedWrites) {
   const VertexId n = 300;
@@ -502,8 +504,18 @@ TEST(ShardStress, RoutedReadsDuringShardedWrites) {
     });
   }
 
+  // At least 60 batches, then keep writing until an async answer has
+  // landed: on a loaded machine the batches can all finish before either
+  // reader is scheduled, and the assertion below is about the router
+  // stack, not the scheduler. The deadline bounds a broken router.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto keep_writing = [&](int b) {
+    return b < 60 || (answered.load(std::memory_order_relaxed) == 0 &&
+                      std::chrono::steady_clock::now() < deadline);
+  };
   util::Xoshiro256 rng(57);
-  for (int b = 0; b < 60; ++b) {
+  for (int b = 0; keep_writing(b); ++b) {
     UpdateBatch batch;
     for (int i = 0; i < 64; ++i) {
       batch.add(static_cast<VertexId>(rng.next_below(n)),

@@ -1,8 +1,7 @@
 // Unit tests for the SIMD row-primitive layer (src/simd/): the equality
 // classes documented in simd.hpp (elementwise ops bitwise-equal to the
 // scalar reference, reductions deterministic and ulp-close, selects
-// exact), the aligned K-padded row buffer, bf16 conversion semantics, and
-// the TileAccumulator's reduced-precision tile views.
+// exact), and the aligned K-padded row buffer.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -10,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "partition/tile_accumulator.hpp"
-#include "simd/bf16.hpp"
 #include "simd/row_buffer.hpp"
 #include "simd/simd.hpp"
 #include "util/rng.hpp"
@@ -180,51 +177,6 @@ TEST(PaddedRowBuffer, AlignmentStrideAndZeroPadding) {
       EXPECT_EQ(buf.row(1)[i], 0.0);
       EXPECT_EQ(buf.row(2)[i], 0.0);
     }
-  }
-}
-
-TEST(Bf16, RoundTripAndNearestEvenRounding) {
-  // Exactly representable values survive the round trip.
-  for (const float f : {0.0f, 1.0f, -1.0f, 0.5f, 2.0f, -0.375f, 256.0f}) {
-    EXPECT_EQ(bf16_to_float(float_to_bf16(f)), f);
-  }
-  // bf16 keeps 8 significand bits: 1 + 2^-8 is exactly halfway between
-  // 1.0 and the next bf16 (1 + 2^-7); ties go to even (1.0). Anything
-  // past halfway rounds up.
-  EXPECT_EQ(bf16_to_float(float_to_bf16(1.0f + 0x1.0p-8f)), 1.0f);
-  EXPECT_EQ(bf16_to_float(float_to_bf16(1.0f + 0x1.8p-8f)), 1.0f + 0x1.0p-7f);
-  // Storage -> widen -> storage is the identity on every finite pattern's
-  // round trip (spot-check a spread of exponents and signs).
-  util::SplitMix64 rng(7);
-  for (int i = 0; i < 1000; ++i) {
-    const auto h = static_cast<bf16_t>(rng.next());
-    const float f = bf16_to_float(h);
-    if (std::isnan(f) || std::isinf(f)) continue;
-    EXPECT_EQ(float_to_bf16(f), h);
-  }
-}
-
-TEST(TileAccumulator, ReducedPrecisionTileViewsRoundTrip) {
-  constexpr std::size_t kCells = 103;
-  partition::TileAccumulator acc(kCells, 2);
-  acc.zero_fill();
-  // zero_fill zeroes any reinterpreted cell type (all-zero bytes).
-  for (int t = 0; t < 2; ++t) {
-    for (std::size_t i = 0; i < kCells; ++i) {
-      EXPECT_EQ(acc.tile_as<float>(t)[i], 0.0f);
-      EXPECT_EQ(acc.tile_as<bf16_t>(t)[i], bf16_t{0});
-    }
-  }
-  // Accumulate into float tiles, reduce into doubles: the tree combine is
-  // exact here (small integers), so the output is the plain sum.
-  for (std::size_t i = 0; i < kCells; ++i) {
-    acc.tile_as<float>(0)[i] = static_cast<float>(i);
-    acc.tile_as<float>(1)[i] = 1.0f;
-  }
-  std::vector<double> out(kCells, 0.5);
-  acc.reduce_converted_into<float>(out.data(), [](float x) { return x; });
-  for (std::size_t i = 0; i < kCells; ++i) {
-    EXPECT_EQ(out[i], 0.5 + static_cast<double>(i) + 1.0);
   }
 }
 

@@ -171,11 +171,12 @@ TEST(ParseBackend, RoundTripsEveryBackend) {
   }
 }
 
-TEST(ParseBackend, CoversNewEnumValues) {
+TEST(ParseBackend, RejectsRemovedAndUnknownNames) {
   EXPECT_EQ(gee::util::parse_backend("partitioned"),
             gee::core::Backend::kPartitioned);
-  EXPECT_EQ(gee::util::parse_backend("replicated"),
-            gee::core::Backend::kReplicated);
+  // No Backend is named "replicated" (shard::ShardMode::kReplicated is a
+  // placement mode, not an edge-pass backend).
+  EXPECT_FALSE(gee::util::parse_backend("replicated").has_value());
   EXPECT_FALSE(gee::util::parse_backend("no-such-backend").has_value());
 }
 
