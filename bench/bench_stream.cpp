@@ -3,20 +3,19 @@
 //
 // The question this answers: at what batch size -- and under what update
 // TRAFFIC -- does each strategy win?
-//  * serial incremental -- two plain adds per coalesced pair; no setup
-//    cost at all. On add-only traffic this is a floor no recompute-based
-//    strategy can beat: a delta applies only the change, while re-embedding
-//    a row replays its entire incident history.
-//  * partitioned delta -- O(b log b) bucketing through build_delta_plan,
-//    then owned-row plain adds across threads. Setup must amortize.
-//  * k-hop re-embed -- seed the changed endpoints and recompute exactly
-//    those rows (DESIGN.md section 10); at --hops >= 1, first expand the
-//    seeds through edge_map over a cached CSR snapshot, paying O(n) per
-//    apply in frontier flags. Either depth is EXACT under removals: the
-//    delta paths accumulate cancellation drift and must amortize an
-//    O(nK + m) full rebuild every `stream_rebuild_drift` fraction of
-//    removed mass, a cost independent of how few edges are live. k-hop
-//    never rebuilds.
+//  * serial delta -- kDelta with an infinite parallel threshold: two plain
+//    adds per coalesced pair; no setup cost at all. On add-only traffic
+//    this is a floor no recompute-based strategy can beat: a delta applies
+//    only the change, while re-embedding a row replays its entire incident
+//    history.
+//  * partitioned delta -- kDelta with threshold 0: O(b log b) bucketing
+//    through build_delta_plan, then owned-row plain adds across threads.
+//    Setup must amortize.
+//  * k-hop re-embed -- recompute exactly the changed endpoints' rows
+//    (DESIGN.md section 10). This is EXACT under removals: the delta paths
+//    accumulate cancellation drift and must amortize an O(nK + m) full
+//    rebuild every `stream_rebuild_drift` fraction of removed mass, a cost
+//    independent of how few edges are live. k-hop never rebuilds.
 //  * full rebuild -- the engine's own rebuild() per batch (live-set sort,
 //    kPartitioned embed, publish): the paper's "single pass is cheap"
 //    degenerate strategy, which wins only when a batch rewrites a large
@@ -24,7 +23,7 @@
 //
 // Traffic modes:
 //  * "spread": uniform add-only endpoints over a dense base (the classic
-//    delta regime; serial wins, khop's O(n) flag cost shows).
+//    delta regime; serial wins, khop pays for replaying whole rows).
 //  * "churn": batches confined to a small vertex window (~0.1% of n) where
 //    half of each batch removes the previous batch's additions -- a hot
 //    subgraph being rewritten in place. The base graph is sparse (m/16),
@@ -34,11 +33,12 @@
 // The winner column reports the crossover per (batch, mode) row.
 //
 // Scaling contract (DESIGN.md section 4): GEE_BENCH_SCALE divides the base
-// graph; --batch-sizes overrides the sweep; --strategies filters the
-// engine columns (the rebuild baseline always runs).
+// graph; --batch-sizes overrides the sweep.
 #include "bench/common.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -80,7 +80,7 @@ std::vector<UpdateBatch> spread_batches(VertexId n, EdgeId batch_size,
 /// mirrors, so every removal is valid), and fills the rest with fresh
 /// in-window adds. Live-edge count stays roughly flat while removal mass
 /// accumulates -- the traffic that forces drift rebuilds on the delta
-/// paths. The k-hop frontier is at most two windows of seeds per batch.
+/// paths. The k-hop path re-embeds at most two windows of rows per batch.
 std::vector<UpdateBatch> churn_batches(VertexId n, EdgeId batch_size,
                                        EdgeId total, VertexId window,
                                        gee::util::Xoshiro256& rng) {
@@ -138,7 +138,6 @@ void log_stats(const std::string& tag, const DynamicGee::Stats& s) {
       " rebuilds=" + std::to_string(s.rebuilds) +
       " khop_batches=" + std::to_string(s.khop_batches) +
       " khop_rows=" + std::to_string(s.khop_rows) +
-      " frontier_rebuilds=" + std::to_string(s.frontier_rebuilds) +
       " buffer_copies=" + std::to_string(s.buffer_copies) +
       " buffer_promotions=" + std::to_string(s.buffer_promotions));
 }
@@ -154,36 +153,11 @@ int main(int argc, char** argv) {
   args.add_option("batch-sizes", "comma-separated batch sizes to sweep",
                   "1,100,10000,1000000");
   args.add_option("edge-factor", "base-graph edges per vertex", "8");
-  args.add_option("strategies",
-                  "comma-separated engine columns to run (" +
-                      gee::util::update_strategy_choices() + "; auto = the "
-                      "per-batch heuristic)",
-                  "serial,delta,khop");
   args.add_option("window",
                   "churn-traffic vertex window (0 = n/1000, min 16)", "0");
-  args.add_option("hops",
-                  "k-hop halo depth for the khop column (0 = endpoints "
-                  "only, the exact minimal set for this model; >=1 prices "
-                  "the Ligra halo expansion)",
-                  "0");
   args.add_flag("stats", "log per-column DynamicGee counters after each row");
   if (!args.parse(argc, argv)) return 1;
   const bool want_stats = args.get_flag("stats");
-
-  std::vector<UpdateStrategy> strategies;
-  for (const auto& name : gee::util::split_csv(args.get("strategies"))) {
-    const auto s = gee::util::parse_update_strategy(name);
-    if (!s) {
-      gee::util::log_error("unknown strategy '" + name + "' (choices: " +
-                           gee::util::update_strategy_choices() + ")");
-      return 1;
-    }
-    strategies.push_back(*s);
-  }
-  const auto runs = [&](UpdateStrategy s) {
-    return std::find(strategies.begin(), strategies.end(), s) !=
-           strategies.end();
-  };
 
   const auto d = bench::scale_denominator();
   const auto n = static_cast<VertexId>(4e6 / static_cast<double>(d));
@@ -208,7 +182,6 @@ int main(int argc, char** argv) {
   report.context("n", static_cast<std::int64_t>(n));
   report.context("m", static_cast<std::int64_t>(m));
   report.context("window", static_cast<std::int64_t>(window));
-  report.context("hops", args.get_int("hops"));
   report.context("repeats", bench::repeats());
 
   gee::util::TextTable table(
@@ -260,31 +233,27 @@ int main(int argc, char** argv) {
       }
       const double rebuild = static_cast<double>(batch_size) / rebuild_seconds;
 
-      auto rate = [&](UpdateStrategy strategy) {
-        gee::core::Options options;
-        options.stream_update_strategy = strategy;
-        options.stream_khop_hops = static_cast<int>(args.get_int("hops"));
-        if (strategy == UpdateStrategy::kDelta) {
-          options.stream_parallel_threshold = 0;  // always partitioned
-        }
+      auto rate = [&](const std::string& column,
+                      const gee::core::Options& options) {
         DynamicGee::Stats stats;
         const double r = stream_rate(mode_base, labels, batches, options,
                                      want_stats ? &stats : nullptr);
         if (want_stats) {
           log_stats("b" + std::to_string(batch_size) +
-                        (churn ? "/churn/" : "/spread/") +
-                        std::string(gee::core::to_string(strategy)),
+                        (churn ? "/churn/" : "/spread/") + column,
                     stats);
         }
         return r;
       };
-      const double serial = runs(UpdateStrategy::kSerial)
-                                ? rate(UpdateStrategy::kSerial)
-                                : 0.0;
+      // Both delta columns are kDelta: one never reaches its parallel
+      // threshold, the other always does.
+      const double serial = rate(
+          "serial", {.stream_parallel_threshold =
+                         std::numeric_limits<std::int64_t>::max()});
       const double partitioned =
-          runs(UpdateStrategy::kDelta) ? rate(UpdateStrategy::kDelta) : 0.0;
+          rate("partitioned", {.stream_parallel_threshold = 0});
       const double khop =
-          runs(UpdateStrategy::kKHop) ? rate(UpdateStrategy::kKHop) : 0.0;
+          rate("khop", {.stream_update_strategy = UpdateStrategy::kKHop});
 
       const char* mode = churn ? "churn" : "spread";
       const double best = std::max({serial, partitioned, khop, rebuild});
@@ -301,14 +270,10 @@ int main(int argc, char** argv) {
                                        : "serial");
 
       report.begin_case("stream/b" + std::to_string(batch_size) + "/" + mode);
-      if (serial > 0) report.metric("serial_upd_per_sec", serial);
-      if (partitioned > 0) {
-        report.metric("partitioned_upd_per_sec", partitioned);
-      }
-      if (khop > 0) {
-        report.metric("khop_upd_per_sec", khop);
-        report.metric("khop_vs_rebuild_speedup", khop / rebuild);
-      }
+      report.metric("serial_upd_per_sec", serial);
+      report.metric("partitioned_upd_per_sec", partitioned);
+      report.metric("khop_upd_per_sec", khop);
+      report.metric("khop_vs_rebuild_speedup", khop / rebuild);
       report.metric("rebuild_upd_per_sec", rebuild);
     }
   }

@@ -28,7 +28,6 @@ std::string to_string(Backend backend) {
 
 std::string to_string(UpdateStrategy strategy) {
   switch (strategy) {
-    case UpdateStrategy::kSerial: return "serial";
     case UpdateStrategy::kDelta: return "delta";
     case UpdateStrategy::kKHop: return "khop";
     case UpdateStrategy::kAuto: return "auto";

@@ -10,7 +10,8 @@
 //
 // accumulate_neighbor_mass below is THE per-neighbor step of the
 // algorithm, shared by every edge kernel (backends/pass.hpp), the
-// streaming delta path (incremental.hpp), and embed_one_vertex here. One
+// streaming delta path (stream::DynamicGee::apply_deltas), the subset
+// re-embed (subset.hpp), and embed_one_vertex here. One
 // definition means the serving path is bitwise-consistent with the batch
 // kernels by construction: replaying a vertex's incident edges in batch
 // order reproduces its batch row exactly (asserted by serve_test's parity

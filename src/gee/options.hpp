@@ -61,35 +61,29 @@ static_assert(static_cast<std::size_t>(Backend::kPartitioned) + 1 ==
 [[nodiscard]] std::string to_string(Backend backend);
 
 /// How DynamicGee (src/stream/) folds a coalesced update batch into Z
-/// (Options::stream_update_strategy). The delta strategies touch each
+/// (Options::stream_update_strategy). The delta strategy touches each
 /// changed cell once per net delta; the k-hop strategy instead *recomputes*
-/// every row in the k-hop neighborhood of the changed endpoints from the
-/// exact live adjacency -- rebuild-grade rows at neighborhood cost, which
-/// both erases removal drift and wins when a batch concentrates many
-/// updates on few vertices (DESIGN.md section 10).
+/// the changed endpoints' rows from the exact live adjacency --
+/// rebuild-grade rows, which erases removal drift and wins when a batch
+/// concentrates many updates on few vertices (DESIGN.md section 10).
 enum class UpdateStrategy : std::uint8_t {
-  /// Always the serial incremental loop (two plain O(K) adds per delta),
-  /// regardless of batch size. The reference strategy.
-  kSerial,
-  /// Threshold-gated delta application: serial below
+  /// Threshold-gated delta application: the serial loop below
   /// Options::stream_parallel_threshold, owned-row partitioned above.
-  /// The default -- identical to the pre-strategy-enum behavior.
+  /// The default.
   kDelta,
-  /// Frontier-driven selective re-embedding: seed a vertex_subset with the
-  /// changed endpoints, expand stream_khop_hops hops through the Ligra
-  /// edge_map machinery, recompute exactly those rows. Subset rows come
-  /// out bitwise equal to a full rebuild's.
+  /// Endpoint re-embedding: recompute exactly the rows of the net-changed
+  /// pairs' endpoints. W is indexed by labels alone, so an edge update
+  /// changes no other row; the recomputed rows come out bitwise equal to
+  /// a full rebuild's.
   kKHop,
-  /// kKHop when the expanded frontier stays within stream_khop_auto_ratio
-  /// of n (measured during expansion; abandoning costs only the partial
-  /// expansion), kDelta otherwise.
+  /// kKHop when the batch's distinct endpoints stay within
+  /// stream_khop_auto_ratio of n, kDelta otherwise.
   kAuto,
 };
 
 /// Every UpdateStrategy value, in declaration order (CLI parsers sweep
 /// this instead of hand-maintaining their own lists).
 inline constexpr UpdateStrategy kAllUpdateStrategies[] = {
-    UpdateStrategy::kSerial,
     UpdateStrategy::kDelta,
     UpdateStrategy::kKHop,
     UpdateStrategy::kAuto,
@@ -134,46 +128,27 @@ struct Options {
   /// Streaming (src/stream/ DynamicGee): a batch with at least this many
   /// coalesced updates is bucketed through the edge partitioner and applied
   /// in parallel with owned rows (zero atomics); smaller batches take the
-  /// serial incremental path, whose O(b*K) plain adds beat the partition
-  /// sort below the crossover. Measure with bench_stream; <= 0 forces the
-  /// partitioned path for every batch.
+  /// serial delta loop, whose O(b*K) plain adds beat the partition sort
+  /// below the crossover. Measure with bench_stream; <= 0 forces the
+  /// partitioned path for every batch, INT64_MAX the serial loop.
   std::int64_t stream_parallel_threshold = 8192;
 
   /// Streaming: rebuild Z from the live edge set once removals since the
   /// last rebuild exceed this fraction of the live edge count. Removals
-  /// leave ~1 ulp of floating-point residue per operation (incremental.hpp);
-  /// the rebuild bounds accumulated drift. <= 0 disables drift rebuilds.
+  /// leave ~1 ulp of floating-point residue per operation (DynamicGee's
+  /// delta path); the rebuild bounds accumulated drift. <= 0 disables
+  /// drift rebuilds.
   double stream_rebuild_drift = 0.5;
 
   /// Streaming: how apply() folds a batch into Z (see UpdateStrategy).
-  /// kKHop/kAuto maintain an exact per-vertex adjacency mirror and a cached
-  /// frontier CSR beside the live multiset; the delta strategies keep the
-  /// pre-existing zero-extra-memory behavior.
+  /// kKHop/kAuto maintain an exact per-vertex adjacency mirror beside the
+  /// live multiset; kDelta keeps the zero-extra-memory behavior.
   UpdateStrategy stream_update_strategy = UpdateStrategy::kDelta;
 
-  /// k for the k-hop strategies: rows within this many hops of a changed
-  /// endpoint are re-embedded. 0 (default) = endpoints only -- the minimal
-  /// correct set for the label-indexed projection, where an edge update
-  /// changes no other row, and the cheapest: it skips the frontier CSR
-  /// snapshot and the O(n) expansion flags entirely. >= 1 additionally
-  /// restores surrounding rows to rebuild-exact values (clearing any
-  /// residue earlier delta-applied removals left in the neighborhood, or
-  /// serving model variants whose rows couple across edges) at the cost of
-  /// the Ligra expansion and its amortized snapshot refreshes.
-  int stream_khop_hops = 0;
-
-  /// kAuto guard: take the k-hop path only while the expanded subset holds
-  /// at most this fraction of all vertices; expansion aborts at the cap
-  /// and falls back to delta application. <= 0 makes kAuto behave as
-  /// kDelta.
+  /// kAuto guard: take the k-hop path only while the batch's distinct
+  /// endpoints number at most this fraction of all vertices; otherwise
+  /// fall back to delta application. <= 0 makes kAuto behave as kDelta.
   double stream_khop_auto_ratio = 0.01;
-
-  /// Rebuild the cached frontier-expansion CSR once live-multiset changes
-  /// since it was built exceed this fraction of the live edge count
-  /// (amortizes the O(n + m) snapshot; staleness only affects which halo
-  /// rows a k-hop apply refreshes, never the changed endpoints -- see
-  /// DESIGN.md section 10). <= 0 rebuilds it every k-hop apply.
-  double stream_khop_refresh_fraction = 0.10;
 
   /// Serving (src/serve/ QueryEngine): refresh the engine's pinned epoch
   /// snapshot when it lags the writer's published epoch by MORE than this

@@ -9,6 +9,25 @@
 
 namespace gee::net {
 
+namespace {
+
+/// Wire-boundary series (DESIGN.md section 12), resolved once so the
+/// per-request hot path is one relaxed add, not a registry lookup.
+struct NetMetrics {
+  obs::Counter& connections = obs::counter("gee.net.connections");
+  obs::Counter& requests = obs::counter("gee.net.requests");
+  obs::Counter& errors = obs::counter("gee.net.errors");
+  obs::Counter& shed = obs::counter("gee.net.shed");
+  obs::Counter& reloads = obs::counter("gee.net.reloads");
+
+  static NetMetrics& get() {
+    static NetMetrics m;
+    return m;
+  }
+};
+
+}  // namespace
+
 Server::Server(std::string socket_path, GraphSource source, Config config)
     : path_(std::move(socket_path)),
       config_(config),
@@ -32,7 +51,7 @@ void Server::accept_loop() {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     connections_.push_back(conn);
     readers_.emplace_back([this, conn] { serve_connection(conn); });
-    obs::counter("gee.net.connections").add();
+    NetMetrics::get().connections.add();
   }
 }
 
@@ -82,6 +101,7 @@ bool Server::send_frame(const std::shared_ptr<Connection>& conn,
 }
 
 void Server::serve_connection(const std::shared_ptr<Connection>& conn) {
+  NetMetrics& metrics = NetMetrics::get();
   std::uint8_t header_bytes[kHeaderBytes];
   Buffer payload;
   while (read_exactly(conn->fd, header_bytes, kHeaderBytes)) {
@@ -91,7 +111,7 @@ void Server::serve_connection(const std::shared_ptr<Connection>& conn) {
     } catch (const WireError& e) {
       // The stream itself is unframed garbage (bad magic/version/length):
       // nothing after this point parses, so answer best-effort and hang up.
-      obs::counter("gee.net.errors").add();
+      metrics.errors.add();
       (void)send_frame(conn, encode_error(e.what(), 0));
       break;
     }
@@ -107,7 +127,7 @@ void Server::serve_connection(const std::shared_ptr<Connection>& conn) {
       // Framing is intact but this payload is not: the stream stays
       // parseable, so report with the echoed id and hang up anyway --
       // a peer that mis-encodes one frame cannot be trusted on the next.
-      obs::counter("gee.net.errors").add();
+      metrics.errors.add();
       (void)send_frame(conn, encode_error(e.what(), header.request_id));
       break;
     }
@@ -120,11 +140,11 @@ void Server::serve_connection(const std::shared_ptr<Connection>& conn) {
     }
     if (std::string error = validate(req, *tier); !error.empty()) {
       // Request-level failure: the connection is fine, the request is not.
-      obs::counter("gee.net.errors").add();
+      metrics.errors.add();
       if (!send_frame(conn, encode_error(error, header.request_id))) break;
       continue;
     }
-    obs::counter("gee.net.requests").add();
+    metrics.requests.add();
     const std::uint64_t id = header.request_id;
     // The callback runs on a lane worker and captures the connection (not
     // the tier -- release order is reload()'s concern, see below) plus the
@@ -136,7 +156,7 @@ void Server::serve_connection(const std::shared_ptr<Connection>& conn) {
           (void)send_frame(conn, encode_response(resp, id));
         });
     if (!ticket.admitted) {
-      obs::counter("gee.net.shed").add();
+      metrics.shed.add();
       if (!send_frame(conn, encode_shed(ticket.retry_after_s, id))) break;
     }
   }
@@ -167,7 +187,7 @@ void Server::reload(GraphSource source) {
   }
   old.reset();
   reloads_.fetch_add(1, std::memory_order_relaxed);
-  obs::counter("gee.net.reloads").add();
+  NetMetrics::get().reloads.add();
   util::log_info("net::Server reloaded tier behind " + path_);
 }
 

@@ -19,6 +19,18 @@ std::string to_string(ShardMode mode) {
 
 namespace {
 
+/// Writer-side series, resolved once so each apply() is one relaxed add
+/// per counter, not a registry lookup.
+struct WriterMetrics {
+  obs::Counter& batches = obs::counter("gee.shard.writer.batches");
+  obs::Counter& routed_ops = obs::counter("gee.shard.writer.routed_ops");
+
+  static WriterMetrics& get() {
+    static WriterMetrics m;
+    return m;
+  }
+};
+
 /// The sub-stream of `base` a shard seeds from: every edge with at least
 /// one endpoint in [lo, hi), in original order (order preservation is what
 /// keeps owned rows bitwise equal to the unsharded embed).
@@ -107,9 +119,9 @@ ShardSet::ApplyReport ShardSet::apply(const stream::UpdateBatch& batch) {
     report.routed_ops += b.size();
     ++report.shards_touched;
   }
-  obs::counter("gee.shard.writer.batches").add();
-  obs::counter("gee.shard.writer.routed_ops")
-      .add(static_cast<std::int64_t>(report.routed_ops));
+  WriterMetrics& metrics = WriterMetrics::get();
+  metrics.batches.add();
+  metrics.routed_ops.add(static_cast<std::int64_t>(report.routed_ops));
   return report;
 }
 

@@ -46,31 +46,4 @@ graph::EdgeId DynamicAdjacency::degree(graph::VertexId v) const {
   return arcs;
 }
 
-graph::EdgeList DynamicAdjacency::to_edge_list() const {
-  const graph::VertexId n = num_vertices();
-  std::size_t pairs = 0;
-  for (graph::VertexId u = 0; u < n; ++u) {
-    const auto& list = lists_[u];
-    const auto from = std::lower_bound(
-        list.begin(), list.end(), u,
-        [](const Entry& e, graph::VertexId x) { return e.neighbor < x; });
-    pairs += static_cast<std::size_t>(list.end() - from);
-  }
-  graph::EdgeList edges(n);
-  edges.reserve(pairs);
-  // Emitting (u, v >= u) in ascending u then ascending v IS ascending
-  // packed-pair-key order: the exact sequence rebuild() sorts the multiset
-  // into, so downstream consumers inherit its accumulation order.
-  for (graph::VertexId u = 0; u < n; ++u) {
-    const auto& list = lists_[u];
-    for (auto it = std::lower_bound(
-             list.begin(), list.end(), u,
-             [](const Entry& e, graph::VertexId x) { return e.neighbor < x; });
-         it != list.end(); ++it) {
-      edges.add(u, it->neighbor, static_cast<graph::Weight>(it->weight));
-    }
-  }
-  return edges;
-}
-
 }  // namespace gee::stream

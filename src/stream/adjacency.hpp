@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "gee/options.hpp"
-#include "graph/edge_list.hpp"
 #include "graph/types.hpp"
 
 namespace gee::stream {
@@ -71,12 +70,6 @@ class DynamicAdjacency {
       if (e.neighbor == v) fn(e.neighbor, w);  // both endpoints contribute
     }
   }
-
-  /// The live edges as a pair-key-sorted EdgeList (each pair once, merged
-  /// weight cast to Weight) -- byte-identical to what rebuild() constructs
-  /// from the multiset, built in O(n + pairs) with no sort. Feeds the
-  /// k-hop strategy's frontier CSR snapshots.
-  [[nodiscard]] graph::EdgeList to_edge_list() const;
 
  private:
   std::vector<std::vector<Entry>> lists_;

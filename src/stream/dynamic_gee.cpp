@@ -4,10 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "gee/incremental.hpp"
+#include "gee/oos.hpp"
 #include "gee/subset.hpp"
-#include "ligra/khop.hpp"
-#include "ligra/vertex_subset.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 #include "partition/partitioner.hpp"
@@ -77,8 +75,6 @@ struct StreamMetrics {
   obs::Counter& buffer_promotions =
       obs::counter("gee.stream.buffer_promotions");
   obs::Counter& khop_batches = obs::counter("gee.stream.khop_batches");
-  obs::Counter& frontier_rebuilds =
-      obs::counter("gee.stream.frontier_rebuilds");
   obs::Histogram& apply_seconds = obs::histogram("gee.stream.apply_seconds");
   obs::Histogram& batch_deltas = obs::histogram("gee.stream.batch_deltas");
   obs::Histogram& khop_frontier = obs::histogram("gee.stream.khop_frontier");
@@ -210,13 +206,12 @@ DynamicGee::ApplyReport DynamicGee::apply(const UpdateBatch& batch) {
   live_count_ =
       static_cast<std::uint64_t>(static_cast<std::int64_t>(live_count_) +
                                  net_count);
-  if (adjacency_) frontier_graph_changes_ += deltas.size();
 
   // One scope for everything parallel in this apply -- snapshot-buffer
-  // copies, promotion replays, plan building, frontier expansion, and the
-  // delta pass / subset re-embed -- so Options::num_threads bounds the
-  // writer's footprint exactly as it does for embed() (a pinned writer
-  // must not burst-steal reader cores).
+  // copies, promotion replays, plan building, and the delta pass / subset
+  // re-embed -- so Options::num_threads bounds the writer's footprint
+  // exactly as it does for embed() (a pinned writer must not burst-steal
+  // reader cores).
   gee::par::ThreadScope threads(options_.num_threads);
   auto work = acquire_writable();
 
@@ -232,17 +227,13 @@ DynamicGee::ApplyReport DynamicGee::apply(const UpdateBatch& batch) {
   }
   if (khop_ran) {
     report.strategy = core::UpdateStrategy::kKHop;
-    // The subset rows were recomputed from the exact adjacency: any
-    // removal residue in the neighborhood was just erased, so this batch
-    // contributes nothing to drift.
+    // The endpoint rows were recomputed from the exact adjacency: any
+    // removal residue in them was just erased, so this batch contributes
+    // nothing to drift.
   } else {
     GEE_TRACE_SPAN("gee.stream.apply_deltas");
-    report.parallel = apply_deltas(
-        *work, deltas,
-        /*allow_parallel=*/requested != core::UpdateStrategy::kSerial);
-    report.strategy = requested == core::UpdateStrategy::kSerial
-                          ? core::UpdateStrategy::kSerial
-                          : core::UpdateStrategy::kDelta;
+    report.parallel = apply_deltas(*work, deltas);
+    report.strategy = core::UpdateStrategy::kDelta;
     entry.deltas = std::move(deltas);
     stats_.removed_since_rebuild += net_removed;
   }
@@ -285,22 +276,26 @@ DynamicGee::ApplyReport DynamicGee::apply(const UpdateBatch& batch) {
 }
 
 bool DynamicGee::apply_deltas(core::Embedding& z,
-                              const std::vector<UpdateBatch::Delta>& deltas,
-                              bool allow_parallel) {
+                              const std::vector<UpdateBatch::Delta>& deltas) {
   if (deltas.empty()) return false;
   const bool parallel =
-      allow_parallel &&
-      (options_.stream_parallel_threshold <= 0 ||
-       static_cast<std::int64_t>(deltas.size()) >=
-           options_.stream_parallel_threshold);
+      options_.stream_parallel_threshold <= 0 ||
+      static_cast<std::int64_t>(deltas.size()) >=
+          options_.stream_parallel_threshold;
 
   if (!parallel) {
-    // Serial incremental path: the same two O(K) updates IncrementalGee
-    // makes per edge, with plain adds (single writer by contract).
+    // Serial path: Algorithm 1's two O(K) row updates per signed delta
+    // (w < 0 removes mass) -- row u, then row v -- with plain adds
+    // (single writer by contract).
+    const auto add = [](Real& cell, Real delta) { cell += delta; };
     for (const auto& d : deltas) {
-      core::detail::edge_delta_updates(
-          projection_, labels_, z, d.u, d.v, static_cast<Real>(d.weight),
-          [](Real& cell, Real delta) { cell += delta; });
+      const auto w = static_cast<Real>(d.weight);
+      core::accumulate_neighbor_mass(labels_.data(),
+                                     projection_.vertex_weight.data(),
+                                     z.row(d.u).data(), d.v, w, add);
+      core::accumulate_neighbor_mass(labels_.data(),
+                                     projection_.vertex_weight.data(),
+                                     z.row(d.v).data(), d.u, w, add);
     }
     return false;
   }
@@ -335,7 +330,7 @@ bool DynamicGee::apply_khop(core::Embedding& z,
                             const std::vector<UpdateBatch::Delta>& deltas,
                             bool auto_mode, LogEntry* entry,
                             ApplyReport* report) {
-  // Member cap for kAuto: abandon once the closure outgrows the ratio.
+  // Member cap for kAuto: fall back to deltas past the ratio.
   graph::VertexId cap = 0;
   if (auto_mode) {
     if (options_.stream_khop_auto_ratio <= 0) return false;
@@ -344,45 +339,25 @@ bool DynamicGee::apply_khop(core::Embedding& z,
     if (cap == 0) return false;
   }
 
-  // Seeds: endpoints of the net-changed pairs, deduplicated. These are the
-  // only rows the batch changes mathematically (Z is linear per edge);
-  // hops > 0 additionally sweep the surrounding rows back to
-  // rebuild-exact values.
-  std::vector<graph::VertexId> seed_ids;
-  seed_ids.reserve(deltas.size() * 2);
+  // Endpoints of the net-changed pairs, ascending and deduplicated. W is
+  // indexed by labels alone, so these are exactly the rows the batch
+  // changes (Z is linear per edge).
+  std::vector<graph::VertexId> rows;
+  rows.reserve(deltas.size() * 2);
   for (const auto& d : deltas) {
-    seed_ids.push_back(d.u);
-    if (d.v != d.u) seed_ids.push_back(d.v);
+    rows.push_back(d.u);
+    if (d.v != d.u) rows.push_back(d.v);
   }
-  std::sort(seed_ids.begin(), seed_ids.end());
-  seed_ids.erase(std::unique(seed_ids.begin(), seed_ids.end()),
-                 seed_ids.end());
-  if (auto_mode && static_cast<graph::VertexId>(seed_ids.size()) > cap) {
-    return false;  // not even the endpoints are localized
-  }
-
-  ligra::KHopOptions kopts;
-  kopts.hops = std::max(0, options_.stream_khop_hops);
-  kopts.max_members = cap;
-  ligra::VertexSubset closure = ligra::VertexSubset::empty(n_);
-  if (kopts.hops == 0) {
-    // Endpoint-only recompute: the frontier graph is never consulted, so
-    // skip its (amortized O(n + m)) refresh entirely.
-    closure = ligra::VertexSubset::from_sparse(n_, std::move(seed_ids));
-  } else {
-    refresh_frontier_graph();
-    auto seeds = ligra::VertexSubset::from_sparse(n_, std::move(seed_ids));
-    auto expansion = ligra::expand_k_hops(frontier_graph_, seeds, kopts);
-    if (auto_mode && expansion.truncated) return false;
-    closure = std::move(expansion.closure);
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  if (auto_mode && static_cast<graph::VertexId>(rows.size()) > cap) {
+    return false;  // the batch is not localized
   }
 
-  closure.to_sparse();
-  const auto rows = closure.sparse_members();
   core::reembed_rows(projection_, labels_, rows, *adjacency_, &z);
 
-  // Row patch for pooled-buffer promotion. An explicit-kKHop caller can
-  // force an arbitrarily large subset; past a quarter of the rows,
+  // Row patch for pooled-buffer promotion. An explicit-kKHop batch can
+  // touch arbitrarily many endpoints; past a quarter of the rows,
   // replaying patches stops beating the full copy they exist to avoid, so
   // leave the entry non-replayable (publish clears the log).
   if (rows.size() * 4 <= static_cast<std::size_t>(n_)) {
@@ -396,27 +371,6 @@ bool DynamicGee::apply_khop(core::Embedding& z,
   }
   report->khop_rows = rows.size();
   return true;
-}
-
-void DynamicGee::refresh_frontier_graph() {
-  const double fraction = options_.stream_khop_refresh_fraction;
-  const bool stale =
-      !frontier_graph_valid_ || fraction <= 0 ||
-      static_cast<double>(frontier_graph_changes_) >
-          fraction *
-              static_cast<double>(std::max<std::uint64_t>(1, live_count_));
-  if (!stale) return;
-  // O(n + m) CSR snapshot, amortized across applies by the fraction gate.
-  // Staleness is harmless: seeds are always the current endpoints, so a
-  // stale snapshot only changes which *halo* rows get their residue swept
-  // this round (DESIGN.md section 10).
-  GEE_TRACE_SPAN("gee.stream.frontier_rebuild");
-  frontier_graph_ = graph::Graph::build(adjacency_->to_edge_list(),
-                                        graph::GraphKind::kUndirected, {}, n_);
-  frontier_graph_valid_ = true;
-  frontier_graph_changes_ = 0;
-  ++stats_.frontier_rebuilds;
-  StreamMetrics::get().frontier_rebuilds.add();
 }
 
 std::unique_ptr<core::Embedding> DynamicGee::acquire_writable() {
@@ -434,7 +388,7 @@ std::unique_ptr<core::Embedding> DynamicGee::acquire_writable() {
       for (const auto& e : log_) {
         if (e.epoch <= buffer_epoch) continue;
         if (!e.deltas.empty()) {
-          apply_deltas(*buffer, e.deltas, /*allow_parallel=*/true);
+          apply_deltas(*buffer, e.deltas);
         } else {
           // k-hop row patch: copy the epoch's recomputed rows verbatim,
           // reproducing the published bytes exactly.

@@ -10,8 +10,8 @@
 //    batch, not O(n) in the graph) so workers own disjoint Z row ranges
 //    and apply deltas with plain adds: zero atomics, and bitwise equal to
 //    the serial delta loop for any block count. Batches below
-//    Options::stream_parallel_threshold take the serial incremental path
-//    (the bucketing sort costs more than it saves there).
+//    Options::stream_parallel_threshold take that serial loop (the
+//    bucketing sort costs more than it saves there).
 //  * epoch snapshots -- readers get an immutable Z (snapshot.hpp) while
 //    the writer prepares the next epoch in a separate buffer. Buffers
 //    recycle through a pool; a returning buffer is promoted to the current
@@ -23,14 +23,14 @@
 //    Options::stream_rebuild_drift of the live edge count, Z is recomputed
 //    from the live edge multiset (one batch kPartitioned embed -- cheap;
 //    that is the paper's point) and republished.
-//  * k-hop selective re-embedding (Options::stream_update_strategy =
-//    kKHop/kAuto) -- instead of applying deltas cell-by-cell, seed a Ligra
-//    vertex_subset with the changed endpoints, expand k hops with edge_map
-//    over a cached CSR snapshot, and RECOMPUTE exactly those rows from the
-//    exact per-vertex adjacency mirror (adjacency.hpp). Recomputed rows
-//    are bitwise equal to a full rebuild's, so removals leave no residue
-//    at all and the drift counter never advances on this path. Wins when a
-//    batch concentrates many updates on few vertices (DESIGN.md sec. 10).
+//  * endpoint re-embedding (Options::stream_update_strategy =
+//    kKHop/kAuto) -- instead of applying deltas cell-by-cell, RECOMPUTE
+//    the rows of the changed endpoints from the exact per-vertex adjacency
+//    mirror (adjacency.hpp). W is indexed by labels alone, so those are
+//    the only rows a batch changes. Recomputed rows are bitwise equal to a
+//    full rebuild's, so removals leave no residue at all and the drift
+//    counter never advances on this path. Wins when a batch concentrates
+//    many updates on few vertices (DESIGN.md sec. 10).
 //
 // Threading contract: ONE writer thread calls apply()/rebuild(); any
 // number of reader threads call snapshot()/epoch()/staleness()/refresh()
@@ -38,9 +38,9 @@
 // concurrently with the writer and each other. stats() and the other
 // inspectors are writer-thread-only.
 //
-// The label vector is fixed at construction, as in IncrementalGee: W
-// depends on global class counts, so relabeling means rebuilding from
-// scratch with a new DynamicGee.
+// The label vector is fixed at construction: W depends on global class
+// counts, so relabeling means rebuilding from scratch with a new
+// DynamicGee.
 #pragma once
 
 #include <atomic>
@@ -56,7 +56,6 @@
 #include "gee/gee.hpp"
 #include "gee/options.hpp"
 #include "gee/projection.hpp"
-#include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
 #include "stream/adjacency.hpp"
 #include "stream/snapshot.hpp"
@@ -86,9 +85,9 @@ class DynamicGee {
     bool parallel = false;        ///< partitioned delta path (vs serial)
     bool rebuilt = false;         ///< drift rebuild triggered afterwards
     std::uint64_t epoch = 0;      ///< epoch visible after this apply
-    /// Path that folded the batch: kSerial (forced serial loop), kDelta
-    /// (threshold-gated; `parallel` tells which sub-path), or kKHop.
-    /// kAuto never appears -- it resolves to kKHop or kDelta per batch.
+    /// Path that folded the batch: kDelta (`parallel` tells which
+    /// sub-path) or kKHop. kAuto never appears -- it resolves to kKHop or
+    /// kDelta per batch.
     core::UpdateStrategy strategy = core::UpdateStrategy::kDelta;
     /// Rows re-embedded by the k-hop path (0 on the delta paths).
     std::uint64_t khop_rows = 0;
@@ -153,7 +152,7 @@ class DynamicGee {
   /// Writer-side counters (writer-thread-only).
   struct Stats {
     std::uint64_t batches = 0;          ///< apply() calls
-    std::uint64_t serial_batches = 0;   ///< took the incremental path
+    std::uint64_t serial_batches = 0;   ///< took the serial delta loop
     std::uint64_t parallel_batches = 0; ///< took the partitioned path
     std::uint64_t deltas_applied = 0;   ///< net deltas across all batches
     std::uint64_t rebuilds = 0;         ///< drift-triggered + forced
@@ -162,7 +161,6 @@ class DynamicGee {
     std::uint64_t removed_since_rebuild = 0;
     std::uint64_t khop_batches = 0;     ///< took the k-hop path
     std::uint64_t khop_rows = 0;        ///< rows re-embedded across them
-    std::uint64_t frontier_rebuilds = 0;///< frontier CSR snapshot builds
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -190,23 +188,18 @@ class DynamicGee {
   };
 
   void init(std::span<const std::int32_t> labels);
-  /// Apply coalesced deltas to `z`: serial loop when `allow_parallel` is
-  /// false or the batch is below the threshold, partitioned otherwise;
-  /// returns true when the partitioned path ran.
+  /// Apply coalesced deltas to `z`: serial loop below the threshold,
+  /// partitioned otherwise; returns true when the partitioned path ran.
   bool apply_deltas(core::Embedding& z,
-                    const std::vector<UpdateBatch::Delta>& deltas,
-                    bool allow_parallel);
-  /// The k-hop path: seeds from `deltas`' endpoints, expand, re-embed the
-  /// subset in `z`, fill `entry`'s row patch and `report`'s k-hop fields.
-  /// Returns false (leaving `z` untouched) when `auto_mode` and the
-  /// expansion outgrew stream_khop_auto_ratio -- the caller then falls
-  /// back to delta application.
+                    const std::vector<UpdateBatch::Delta>& deltas);
+  /// The k-hop path: re-embed the rows of `deltas`' endpoints in `z`, fill
+  /// `entry`'s row patch and `report`'s k-hop fields. Returns false
+  /// (leaving `z` untouched) when `auto_mode` and the endpoints outnumber
+  /// stream_khop_auto_ratio of n -- the caller then falls back to delta
+  /// application.
   bool apply_khop(core::Embedding& z,
                   const std::vector<UpdateBatch::Delta>& deltas,
                   bool auto_mode, LogEntry* entry, ApplyReport* report);
-  /// (Re)build the cached frontier-expansion CSR from the adjacency
-  /// mirror when stale (stream_khop_refresh_fraction).
-  void refresh_frontier_graph();
   /// A writable buffer holding the current published state: a pooled
   /// buffer promoted via the replay log, or a fresh/recycled full copy.
   std::unique_ptr<core::Embedding> acquire_writable();
@@ -226,14 +219,10 @@ class DynamicGee {
   std::unordered_map<std::uint64_t, LiveEdge> live_;
   std::uint64_t live_count_ = 0;
 
-  /// k-hop machinery, allocated only when stream_update_strategy is
-  /// kKHop/kAuto (the delta strategies pay nothing for it). The adjacency
-  /// mirrors live_ exactly; the frontier graph is a CSR snapshot of it,
-  /// refreshed by fraction (writer-thread-only, like live_).
+  /// Per-vertex mirror of live_, allocated only when
+  /// stream_update_strategy is kKHop/kAuto (kDelta pays nothing for it).
+  /// Writer-thread-only, like live_.
   std::unique_ptr<DynamicAdjacency> adjacency_;
-  graph::Graph frontier_graph_;
-  bool frontier_graph_valid_ = false;
-  std::uint64_t frontier_graph_changes_ = 0;
 
   mutable std::mutex publish_mutex_;           // guards published_
   std::shared_ptr<core::Embedding> published_; // readers snapshot this

@@ -62,7 +62,7 @@ class UpdateBatch {
 
   /// Throws std::out_of_range if any endpoint is >= num_vertices -- the
   /// fixed label vector's length; streaming cannot grow the vertex set
-  /// (W depends on global class counts, see incremental.hpp).
+  /// (W depends on global class counts, see dynamic_gee.hpp).
   void validate(VertexId num_vertices) const;
 
   /// Net deltas: entries merged by unordered endpoint pair (u <= v after

@@ -23,7 +23,6 @@
 #include "gen/sbm.hpp"
 #include "graph/builder.hpp"
 #include "graph/validation.hpp"
-#include "ligra/algorithms/connected_components.hpp"
 #include "spectral/eigen.hpp"
 
 namespace {
@@ -135,10 +134,6 @@ TEST(Integration, LargeRmatEndToEnd) {
   const auto serial =
       core::embed(g, labels, {.backend = Backend::kCompiledSerial});
   EXPECT_LT(core::max_abs_diff(parallel.z, serial.z), 1e-9);
-
-  // Engine sanity on the same graph: CC of the undirected R-MAT.
-  const auto cc = ligra::connected_components(g);
-  EXPECT_GT(cc.rounds, 0);
 }
 
 TEST(Integration, EmbeddingQualityImprovesWithMoreLabels) {

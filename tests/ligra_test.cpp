@@ -1,23 +1,14 @@
-// Tests for the Ligra-like engine: VertexSubset representations, edgeMap
-// mode selection and equivalence (sparse == dense == dense-forward), and
-// the BFS / connected-components / PageRank validation algorithms against
-// serial oracles.
+// Tests for the Ligra-like engine: VertexSubset representations and
+// edgeMap mode selection and equivalence (sparse == dense ==
+// dense-forward) against serial oracles.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <deque>
-#include <functional>
 #include <numeric>
 #include <set>
+#include <vector>
 
-#include "graph/builder.hpp"
-#include "graph/transform.hpp"
-#include "graph/validation.hpp"
-#include "ligra/algorithms/bfs.hpp"
-#include "ligra/algorithms/connected_components.hpp"
-#include "ligra/algorithms/pagerank.hpp"
+#include "graph/csr.hpp"
 #include "ligra/edge_map.hpp"
-#include "ligra/khop.hpp"
 #include "ligra/vertex_subset.hpp"
 #include "parallel/atomics.hpp"
 #include "util/rng.hpp"
@@ -322,339 +313,6 @@ TEST(EdgeMap, OutputDeduplicatesMultiplePredecessors) {
     EXPECT_EQ(members[0], 10u);
     EXPECT_DOUBLE_EQ(acc[10], 10.0);  // all updates ran; output still deduped
   }
-}
-
-// -------------------------------------------------------------------- k-hop
-
-/// Serial BFS distances over out-neighbors (unreached = -1).
-std::vector<int> bfs_distances(const Graph& g, const std::vector<VertexId>& seeds) {
-  std::vector<int> dist(g.num_vertices(), -1);
-  std::deque<VertexId> queue;
-  for (VertexId s : seeds) {
-    if (dist[s] != 0) {
-      dist[s] = 0;
-      queue.push_back(s);
-    }
-  }
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    for (VertexId v : g.out().neighbors(u)) {
-      if (dist[v] >= 0) continue;
-      dist[v] = dist[u] + 1;
-      queue.push_back(v);
-    }
-  }
-  return dist;
-}
-
-TEST(KHop, ClosureMatchesBfsDistanceOracle) {
-  const auto el = random_edges(400, 1600, 51);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const std::vector<VertexId> seeds = {3, 97, 250};
-  const auto dist = bfs_distances(g, seeds);
-  for (int k = 0; k <= 3; ++k) {
-    const auto r = expand_k_hops(
-        g, VertexSubset::from_sparse(400, seeds), {.hops = k});
-    EXPECT_FALSE(r.truncated);
-    for (VertexId v = 0; v < 400; ++v) {
-      const bool expect_in = dist[v] >= 0 && dist[v] <= k;
-      ASSERT_EQ(r.closure.contains(v), expect_in)
-          << "hops " << k << " vertex " << v;
-    }
-  }
-}
-
-TEST(KHop, ClosureIsSortedAndDeduplicated) {
-  // Overlapping seed neighborhoods: many paths reach the same vertices.
-  EdgeList el(6);
-  el.add(0, 2);
-  el.add(1, 2);
-  el.add(2, 3);
-  el.add(0, 3);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  auto r = expand_k_hops(g, VertexSubset::from_sparse(6, {0, 1}), {.hops = 2});
-  r.closure.to_sparse();
-  const auto members = r.closure.sparse_members();
-  ASSERT_TRUE(std::is_sorted(members.begin(), members.end()));
-  ASSERT_EQ(std::adjacent_find(members.begin(), members.end()), members.end());
-  const std::vector<VertexId> expected = {0, 1, 2, 3};
-  EXPECT_EQ(std::vector<VertexId>(members.begin(), members.end()), expected);
-}
-
-TEST(KHop, ZeroHopsReturnsSeedsUnchanged) {
-  const auto el = random_edges(50, 400, 52);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r =
-      expand_k_hops(g, VertexSubset::from_sparse(50, {7, 21}), {.hops = 0});
-  EXPECT_EQ(r.closure.size(), 2u);
-  EXPECT_TRUE(r.closure.contains(7));
-  EXPECT_TRUE(r.closure.contains(21));
-  EXPECT_EQ(r.hops_expanded, 0);
-  EXPECT_EQ(r.edges_traversed, 0u);
-}
-
-TEST(KHop, EmptySeedsYieldEmptyClosure) {
-  const auto el = random_edges(50, 400, 53);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r = expand_k_hops(g, VertexSubset::empty(50), {.hops = 3});
-  EXPECT_TRUE(r.closure.is_empty());
-  EXPECT_EQ(r.hops_expanded, 0);
-  EXPECT_FALSE(r.truncated);
-}
-
-TEST(KHop, ExpansionStopsWhenFrontierDies) {
-  // Path 0-1-2 in a 10-vertex graph: hop 3+ finds nothing new, so the
-  // expansion reports fewer hops than requested.
-  EdgeList el(10);
-  el.add(0, 1);
-  el.add(1, 2);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r =
-      expand_k_hops(g, VertexSubset::single(10, 0), {.hops = 8});
-  EXPECT_EQ(r.closure.size(), 3u);
-  EXPECT_LE(r.hops_expanded, 3);
-  EXPECT_FALSE(r.truncated);
-}
-
-TEST(KHop, MemberCapTruncatesExpansion) {
-  // Star: hub 0 with 99 leaves. One hop from the hub exceeds a cap of 10.
-  EdgeList el(100);
-  for (VertexId v = 1; v < 100; ++v) el.add(0, v);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r = expand_k_hops(g, VertexSubset::single(100, 0),
-                               {.hops = 1, .max_members = 10});
-  EXPECT_TRUE(r.truncated);
-  // Uncapped, the same expansion covers the whole star.
-  const auto full = expand_k_hops(g, VertexSubset::single(100, 0), {.hops = 1});
-  EXPECT_FALSE(full.truncated);
-  EXPECT_EQ(full.closure.size(), 100u);
-  EXPECT_EQ(full.edges_traversed, 99u);
-}
-
-TEST(KHop, ForcedModesAgreeWithAuto) {
-  const auto el = random_edges(300, 3000, 54);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const std::vector<VertexId> seeds = {11, 42, 199};
-  const auto base = expand_k_hops(
-      g, VertexSubset::from_sparse(300, seeds), {.hops = 2});
-  for (auto mode :
-       {EdgeMapMode::kSparse, EdgeMapMode::kDense, EdgeMapMode::kDenseForward}) {
-    KHopOptions opts;
-    opts.hops = 2;
-    opts.edge_map.mode = mode;
-    auto r = expand_k_hops(g, VertexSubset::from_sparse(300, seeds), opts);
-    EXPECT_EQ(r.closure.size(), base.closure.size())
-        << "mode " << static_cast<int>(mode);
-    r.closure.to_sparse();
-    for (VertexId v : r.closure.sparse_members()) {
-      ASSERT_TRUE(base.closure.contains(v)) << "mode " << static_cast<int>(mode);
-    }
-  }
-}
-
-TEST(Bfs, GridGraphHasManhattanDistances) {
-  // 16x16 grid: BFS distance from corner (0,0) is x + y exactly.
-  constexpr VertexId kSide = 16;
-  EdgeList el(kSide * kSide);
-  auto id = [](VertexId x, VertexId y) { return y * kSide + x; };
-  for (VertexId y = 0; y < kSide; ++y) {
-    for (VertexId x = 0; x < kSide; ++x) {
-      if (x + 1 < kSide) el.add(id(x, y), id(x + 1, y));
-      if (y + 1 < kSide) el.add(id(x, y), id(x, y + 1));
-    }
-  }
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r = bfs(g, 0);
-  for (VertexId y = 0; y < kSide; ++y) {
-    for (VertexId x = 0; x < kSide; ++x) {
-      ASSERT_EQ(r.dist[id(x, y)], x + y) << "(" << x << "," << y << ")";
-    }
-  }
-  EXPECT_EQ(r.rounds, 2 * (kSide - 1) + 1);  // last round finds nothing new
-}
-
-// ---------------------------------------------------------------------- BFS
-
-std::vector<VertexId> serial_bfs_dist(const Graph& g, VertexId root) {
-  std::vector<VertexId> dist(g.num_vertices(), kInvalidVertex);
-  std::deque<VertexId> queue{root};
-  dist[root] = 0;
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    for (VertexId v : g.out().neighbors(u)) {
-      if (dist[v] == kInvalidVertex) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return dist;
-}
-
-TEST(Bfs, MatchesSerialOracleOnRandomGraphs) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto el = random_edges(2000, 10000, seed);
-    const Graph g = Graph::build(el, GraphKind::kUndirected);
-    const auto result = bfs(g, 0);
-    const auto expected = serial_bfs_dist(g, 0);
-    ASSERT_EQ(result.dist, expected) << "seed " << seed;
-  }
-}
-
-TEST(Bfs, ParentsFormValidTree) {
-  const auto el = random_edges(500, 3000, 7);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r = bfs(g, 5);
-  EXPECT_EQ(r.parent[5], 5u);
-  for (VertexId v = 0; v < 500; ++v) {
-    if (v == 5 || r.parent[v] == kInvalidVertex) continue;
-    // Parent is one hop closer and is an actual in-neighbor.
-    ASSERT_EQ(r.dist[v], r.dist[r.parent[v]] + 1);
-    ASSERT_TRUE(has_edge(g.out(), r.parent[v], v));
-  }
-}
-
-TEST(Bfs, DisconnectedVerticesUnreached) {
-  EdgeList el(5);
-  el.add(0, 1);
-  el.add(1, 2);
-  // vertices 3, 4 isolated
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r = bfs(g, 0);
-  EXPECT_EQ(r.dist[2], 2u);
-  EXPECT_EQ(r.dist[3], kInvalidVertex);
-  EXPECT_EQ(r.parent[4], kInvalidVertex);
-}
-
-TEST(Bfs, DirectedRespectsEdgeDirection) {
-  EdgeList el(3);
-  el.add(0, 1);
-  el.add(2, 1);
-  const Graph g = Graph::build(el, GraphKind::kDirected);
-  const auto r = bfs(g, 0);
-  EXPECT_EQ(r.dist[1], 1u);
-  EXPECT_EQ(r.dist[2], kInvalidVertex);  // no path 0 -> 2
-}
-
-// ------------------------------------------------------ ConnectedComponents
-
-std::vector<VertexId> union_find_components(const EdgeList& el, VertexId n) {
-  std::vector<VertexId> parent(n);
-  std::iota(parent.begin(), parent.end(), VertexId{0});
-  std::function<VertexId(VertexId)> find = [&](VertexId x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (EdgeId e = 0; e < el.num_edges(); ++e) {
-    const VertexId a = find(el.src(e)), b = find(el.dst(e));
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
-  // Normalize every vertex to its root's minimum id.
-  std::vector<VertexId> label(n);
-  for (VertexId v = 0; v < n; ++v) label[v] = find(v);
-  return label;
-}
-
-TEST(ConnectedComponents, MatchesUnionFind) {
-  for (std::uint64_t seed : {4u, 5u}) {
-    // Sparse graph => several components.
-    const auto el = random_edges(3000, 2500, seed);
-    const Graph g = Graph::build(el, GraphKind::kUndirected);
-    const auto result = connected_components(g);
-    const auto expected = union_find_components(el, 3000);
-    // Same partition: labels must match exactly because both use min-id.
-    ASSERT_EQ(result.component, expected) << "seed " << seed;
-  }
-}
-
-TEST(ConnectedComponents, SingleComponentPath) {
-  EdgeList el(4);
-  el.add(0, 1);
-  el.add(1, 2);
-  el.add(2, 3);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r = connected_components(g);
-  EXPECT_EQ(r.component, (std::vector<VertexId>{0, 0, 0, 0}));
-}
-
-TEST(ConnectedComponents, IsolatedVerticesOwnComponents) {
-  const Graph g = Graph::build(EdgeList(3), GraphKind::kUndirected, {}, 3);
-  const auto r = connected_components(g);
-  EXPECT_EQ(r.component, (std::vector<VertexId>{0, 1, 2}));
-}
-
-// ----------------------------------------------------------------- PageRank
-
-TEST(PageRank, SumsToOne) {
-  const auto el = random_edges(1000, 10000, 17);
-  const Graph g = Graph::build(el, GraphKind::kDirected);
-  const auto r = pagerank(g);
-  const double total = std::accumulate(r.rank.begin(), r.rank.end(), 0.0);
-  EXPECT_NEAR(total, 1.0, 1e-6);
-  EXPECT_GT(r.iterations, 1);
-}
-
-TEST(PageRank, UniformOnRegularRing) {
-  // Directed ring: every vertex has in/out degree 1 => uniform stationary.
-  EdgeList el(100);
-  for (VertexId v = 0; v < 100; ++v) el.add(v, (v + 1) % 100);
-  const Graph g = Graph::build(el, GraphKind::kDirected);
-  const auto r = pagerank(g);
-  for (double x : r.rank) EXPECT_NEAR(x, 0.01, 1e-9);
-}
-
-TEST(PageRank, HubOutranksLeaves) {
-  // Star: all leaves point to the hub.
-  EdgeList el(10);
-  for (VertexId v = 1; v < 10; ++v) el.add(v, 0);
-  const Graph g = Graph::build(el, GraphKind::kDirected);
-  const auto r = pagerank(g);
-  for (VertexId v = 1; v < 10; ++v) EXPECT_GT(r.rank[0], r.rank[v]);
-}
-
-TEST(PageRank, DanglingMassRedistributed) {
-  // 0 -> 1, 1 dangles. Ranks must still sum to 1.
-  EdgeList el(2);
-  el.add(0, 1);
-  const Graph g = Graph::build(el, GraphKind::kDirected);
-  const auto r = pagerank(g);
-  EXPECT_NEAR(r.rank[0] + r.rank[1], 1.0, 1e-9);
-  EXPECT_GT(r.rank[1], r.rank[0]);
-}
-
-TEST(PageRank, MatchesDensePowerIterationOracle) {
-  const VertexId n = 50;
-  const auto el = random_edges(n, 400, 23);
-  const Graph g = Graph::build(el, GraphKind::kDirected);
-  const auto r = pagerank(g, {.damping = 0.85, .max_iterations = 200,
-                              .tolerance = 1e-12});
-
-  // Dense oracle.
-  std::vector<double> rank(n, 1.0 / n), next(n);
-  for (int it = 0; it < 200; ++it) {
-    std::fill(next.begin(), next.end(), 0.0);
-    double dangling = 0;
-    for (VertexId u = 0; u < n; ++u) {
-      const auto deg = g.out().degree(u);
-      if (deg == 0) {
-        dangling += rank[u];
-        continue;
-      }
-      for (VertexId v : g.out().neighbors(u)) {
-        next[v] += rank[u] / static_cast<double>(deg);
-      }
-    }
-    for (VertexId v = 0; v < n; ++v) {
-      next[v] = (1.0 - 0.85) / n + 0.85 * (next[v] + dangling / n);
-    }
-    rank.swap(next);
-  }
-  for (VertexId v = 0; v < n; ++v) EXPECT_NEAR(r.rank[v], rank[v], 1e-8);
 }
 
 }  // namespace

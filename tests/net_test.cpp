@@ -38,6 +38,7 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/request.hpp"
 #include "stream/dynamic_gee.hpp"
@@ -325,6 +326,12 @@ TEST_F(NetTest, CapacityZeroLaneShedsAcrossTheWire) {
 TEST_F(NetTest, OutOfRangeRequestsGetErrorsAndTheConnectionSurvives) {
   const auto server = start_server();
   Client client(path_);
+  // The server counts each request before it replies, so once a reply is
+  // read its increment is visible here.
+  const obs::Counter& requests = obs::counter("gee.net.requests");
+  const obs::Counter& errors = obs::counter("gee.net.errors");
+  const std::int64_t requests_before = requests.value();
+  const std::int64_t errors_before = errors.value();
 
   auto result = client.lookup(kN);  // one past the end
   ASSERT_EQ(result.status, Client::Result::Status::kError);
@@ -345,6 +352,9 @@ TEST_F(NetTest, OutOfRangeRequestsGetErrorsAndTheConnectionSurvives) {
   result = client.lookup(1);
   ASSERT_TRUE(result.ok()) << result.error;
   expect_reply_eq(result.reply, reference_.lookup(1));
+
+  EXPECT_EQ(requests.value() - requests_before, 1);
+  EXPECT_EQ(errors.value() - errors_before, 4);
 }
 
 TEST_F(NetTest, HostileFramesCloseTheConnectionNotTheServer) {

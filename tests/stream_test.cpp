@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <thread>
@@ -192,6 +193,64 @@ TEST(DynamicGee, RemovalsTrackBatchOverRemainder) {
   EXPECT_EQ(dg.num_live_edges(), remaining.num_edges());
 }
 
+TEST(DynamicGee, WeightedParallelEdgesAndSelfLoopRemoveToParity) {
+  // Parallel edges with distinct weights between the same endpoints, plus
+  // a weighted self-loop: each removal must subtract exactly the copy it
+  // names, leaving the other copies' mass -- verified against a batch
+  // embed of the remainder.
+  const auto labels = gen::semi_supervised_labels(40, 3, 0.6, 25);
+  EdgeList el(40);
+  el.add(1, 2, 0.5f);
+  el.add(1, 2, 2.0f);  // duplicate pair, different weight
+  el.add(1, 2, 2.0f);  // exact duplicate
+  el.add(3, 4, 1.25f);
+  el.add(5, 5, 3.0f);  // weighted self-loop
+
+  Options options;
+  options.stream_rebuild_drift = 0;  // isolate pure delta removal
+  DynamicGee dg(labels, options);
+  UpdateBatch adds;
+  for (EdgeId e = 0; e < el.num_edges(); ++e) {
+    adds.add(el.src(e), el.dst(e), el.weight(e));
+  }
+  dg.apply(adds);
+  // One copy per batch, so each removal meets the live multiset alone.
+  UpdateBatch drop_parallel_copy;
+  drop_parallel_copy.remove(1, 2, 2.0f);
+  dg.apply(drop_parallel_copy);
+  UpdateBatch drop_self_loop;
+  drop_self_loop.remove(5, 5, 3.0f);
+  dg.apply(drop_self_loop);
+
+  EdgeList remaining(40);
+  remaining.add(1, 2, 0.5f);
+  remaining.add(1, 2, 2.0f);
+  remaining.add(3, 4, 1.25f);
+  const auto reference = core::embed_edges(
+      remaining, labels, {.backend = Backend::kCompiledSerial});
+  EXPECT_LT(core::max_abs_diff(*dg.snapshot().z, reference.z), 1e-12);
+  EXPECT_EQ(dg.num_live_edges(), remaining.num_edges());
+  EXPECT_EQ(dg.stats().rebuilds, 0u);
+}
+
+TEST(DynamicGee, RemovingEverythingLeavesNearZero) {
+  const auto el = with_random_weights(gen::erdos_renyi_gnm(150, 2000, 27), 29);
+  const auto labels = gen::semi_supervised_labels(150, 5, 0.4, 31);
+  Options options;
+  options.stream_rebuild_drift = 0;  // no rebuild to zero the state exactly
+  DynamicGee dg(el, labels, options);
+
+  UpdateBatch removals;
+  for (EdgeId e = 0; e < el.num_edges(); ++e) {
+    removals.remove(el.src(e), el.dst(e), el.weight(e));
+  }
+  dg.apply(removals);
+  EXPECT_EQ(dg.num_live_edges(), 0u);
+  // Exact inverse in real arithmetic; floating point leaves ~ulp residue.
+  const Embedding zero(150, dg.projection().num_classes);
+  EXPECT_LT(core::max_abs_diff(*dg.snapshot().z, zero), 1e-10);
+}
+
 TEST(DynamicGee, DriftTriggersRebuild) {
   const auto el = gen::erdos_renyi_gnm(100, 1200, 71);
   const auto labels = gen::semi_supervised_labels(100, 4, 0.5, 73);
@@ -250,6 +309,10 @@ TEST(DynamicGee, RejectsWhatStreamingCannotMaintain) {
                std::invalid_argument);
   EXPECT_THROW(DynamicGee(std::vector<std::int32_t>{-1, -1}),
                std::invalid_argument);
+  // No labeled vertex, but an explicit K: W is all zero and every row
+  // stays zero, which streaming maintains trivially.
+  EXPECT_NO_THROW(
+      DynamicGee(std::vector<std::int32_t>{-1, -1}, Options{.num_classes = 3}));
 
   DynamicGee dg(labels);
   UpdateBatch out_of_range;
@@ -441,17 +504,14 @@ TEST(DynamicGeeKHop, ReplayMatchesOneShotAcrossGraphMatrix) {
         core::embed_edges(c.edges, c.labels, {.backend =
                                               Backend::kCompiledSerial});
     for (const int num_batches : {1, 7, 64}) {
-      for (const int hops : {0, 1, 2}) {
-        Options options;
-        options.stream_update_strategy = core::UpdateStrategy::kKHop;
-        options.stream_khop_hops = hops;
-        const auto dg = replay(c.edges, c.labels, num_batches, options);
-        EXPECT_LT(core::max_abs_diff(*dg->snapshot().z, reference.z), 1e-5)
-            << c.name << " B=" << num_batches << " hops=" << hops;
-        EXPECT_EQ(dg->stats().khop_batches, dg->stats().batches)
-            << c.name << " B=" << num_batches << " hops=" << hops;
-        EXPECT_GT(dg->stats().khop_rows, 0u);
-      }
+      Options options;
+      options.stream_update_strategy = core::UpdateStrategy::kKHop;
+      const auto dg = replay(c.edges, c.labels, num_batches, options);
+      EXPECT_LT(core::max_abs_diff(*dg->snapshot().z, reference.z), 1e-5)
+          << c.name << " B=" << num_batches;
+      EXPECT_EQ(dg->stats().khop_batches, dg->stats().batches)
+          << c.name << " B=" << num_batches;
+      EXPECT_GT(dg->stats().khop_rows, 0u);
     }
   }
 }
@@ -460,55 +520,49 @@ TEST(DynamicGeeKHop, FinalStateMatchesRebuildBitwise) {
   // Pure k-hop operation is rebuild-exact: every row is recomputed from
   // the exact adjacency at the last batch that touched it, so after any
   // replay (adds AND removals) the published Z must equal a from-scratch
-  // rebuild of the final multiset bit for bit. refresh_fraction 0 pins the
-  // frontier CSR to the current graph every apply, exercising the rebuild
-  // path on each batch.
+  // rebuild of the final multiset bit for bit.
   const auto el =
       with_random_weights(gen::erdos_renyi_gnm(180, 2200, 101), 103);
   const auto labels = gen::semi_supervised_labels(180, 5, 0.4, 107);
-  for (const double refresh_fraction : {0.0, 0.10}) {
-    Options options;
-    options.stream_update_strategy = core::UpdateStrategy::kKHop;
-    options.stream_khop_refresh_fraction = refresh_fraction;
-    auto dg = std::make_unique<DynamicGee>(labels, options);
-    // Stream in, then remove every fourth edge.
-    const EdgeId m = el.num_edges();
-    for (int b = 0; b < 12; ++b) {
-      const EdgeId lo = m * static_cast<EdgeId>(b) / 12;
-      const EdgeId hi = m * static_cast<EdgeId>(b + 1) / 12;
-      UpdateBatch batch;
-      for (EdgeId e = lo; e < hi; ++e) {
-        batch.add(el.src(e), el.dst(e), el.weight(e));
-      }
-      dg->apply(batch);
+  Options options;
+  options.stream_update_strategy = core::UpdateStrategy::kKHop;
+  auto dg = std::make_unique<DynamicGee>(labels, options);
+  // Stream in, then remove every fourth edge.
+  const EdgeId m = el.num_edges();
+  for (int b = 0; b < 12; ++b) {
+    const EdgeId lo = m * static_cast<EdgeId>(b) / 12;
+    const EdgeId hi = m * static_cast<EdgeId>(b + 1) / 12;
+    UpdateBatch batch;
+    for (EdgeId e = lo; e < hi; ++e) {
+      batch.add(el.src(e), el.dst(e), el.weight(e));
     }
-    UpdateBatch removals;
-    for (EdgeId e = 0; e < m; e += 4) {
-      removals.remove(el.src(e), el.dst(e), el.weight(e));
-    }
-    dg->apply(removals);
-
-    // Twin engine, same history, then an explicit rebuild: the gold state.
-    Options delta_options;
-    auto gold = std::make_unique<DynamicGee>(labels, delta_options);
-    for (int b = 0; b < 12; ++b) {
-      const EdgeId lo = m * static_cast<EdgeId>(b) / 12;
-      const EdgeId hi = m * static_cast<EdgeId>(b + 1) / 12;
-      UpdateBatch batch;
-      for (EdgeId e = lo; e < hi; ++e) {
-        batch.add(el.src(e), el.dst(e), el.weight(e));
-      }
-      gold->apply(batch);
-    }
-    gold->apply(removals);
-    gold->rebuild();
-
-    EXPECT_EQ(core::max_abs_diff(*dg->snapshot().z, *gold->snapshot().z), 0.0)
-        << "refresh_fraction=" << refresh_fraction;
-    // The k-hop engine never rebuilt and never accumulated drift.
-    EXPECT_EQ(dg->stats().rebuilds, 0u);
-    EXPECT_EQ(dg->stats().removed_since_rebuild, 0u);
+    dg->apply(batch);
   }
+  UpdateBatch removals;
+  for (EdgeId e = 0; e < m; e += 4) {
+    removals.remove(el.src(e), el.dst(e), el.weight(e));
+  }
+  dg->apply(removals);
+
+  // Twin engine, same history, then an explicit rebuild: the gold state.
+  Options delta_options;
+  auto gold = std::make_unique<DynamicGee>(labels, delta_options);
+  for (int b = 0; b < 12; ++b) {
+    const EdgeId lo = m * static_cast<EdgeId>(b) / 12;
+    const EdgeId hi = m * static_cast<EdgeId>(b + 1) / 12;
+    UpdateBatch batch;
+    for (EdgeId e = lo; e < hi; ++e) {
+      batch.add(el.src(e), el.dst(e), el.weight(e));
+    }
+    gold->apply(batch);
+  }
+  gold->apply(removals);
+  gold->rebuild();
+
+  EXPECT_EQ(core::max_abs_diff(*dg->snapshot().z, *gold->snapshot().z), 0.0);
+  // The k-hop engine never rebuilt and never accumulated drift.
+  EXPECT_EQ(dg->stats().rebuilds, 0u);
+  EXPECT_EQ(dg->stats().removed_since_rebuild, 0u);
 }
 
 TEST(DynamicGeeKHop, AutoSelectsByFrontierLocality) {
@@ -528,7 +582,7 @@ TEST(DynamicGeeKHop, AutoSelectsByFrontierLocality) {
   EXPECT_EQ(report.khop_rows, 0u);
 
   // Localized batch: a 5-vertex clique disjoint from everything above --
-  // the closure is those 5 vertices, comfortably under the cap.
+  // its endpoints are those 5 vertices, comfortably under the cap.
   UpdateBatch local;
   for (VertexId u = 0; u < 5; ++u) {
     for (VertexId v = u + 1; v < 5; ++v) local.add(u, v);
@@ -559,11 +613,10 @@ TEST(DynamicGeeKHop, ReportStrategyReflectsRequestedPath) {
   batch.add(0, 1);
 
   Options serial;
-  serial.stream_update_strategy = core::UpdateStrategy::kSerial;
-  serial.stream_parallel_threshold = 0;  // would go parallel if allowed
+  serial.stream_parallel_threshold = std::numeric_limits<std::int64_t>::max();
   DynamicGee a(labels, serial);
   auto report = a.apply(batch);
-  EXPECT_EQ(report.strategy, core::UpdateStrategy::kSerial);
+  EXPECT_EQ(report.strategy, core::UpdateStrategy::kDelta);
   EXPECT_FALSE(report.parallel);
 
   Options delta;
@@ -587,8 +640,7 @@ TEST(DynamicGeeKHop, PooledBuffersPromoteByRowPatch) {
   Options options;
   options.stream_update_strategy = core::UpdateStrategy::kKHop;
   // Endpoint-only recomputes keep each epoch's row patch under the n/4
-  // replayability bound (a 1-hop closure in this ER graph would not be).
-  options.stream_khop_hops = 0;
+  // replayability bound.
   DynamicGee dg(labels, options);
   UpdateBatch seed;
   for (EdgeId e = 0; e < el.num_edges(); ++e) {
@@ -630,13 +682,12 @@ TEST(DynamicGeeKHop, PooledBuffersPromoteByRowPatch) {
 }
 
 TEST(DynamicGeeKHop, OversizedSubsetFallsBackToFullCopy) {
-  // 6-vertex clique with hops 2: every apply's closure is the whole graph,
-  // past the n/4 patch bound, so log entries are not replayable and a
+  // 6-vertex graph: even a single edge's 2-row patch is past the n/4
+  // patch bound (2 * 4 > 6), so log entries are not replayable and a
   // recycled buffer must take the full-copy path -- correctly.
   const std::vector<std::int32_t> labels{0, 1, 0, 1, 0, 1};
   Options options;
   options.stream_update_strategy = core::UpdateStrategy::kKHop;
-  options.stream_khop_hops = 2;
   DynamicGee dg(labels, options);
   UpdateBatch clique;
   for (VertexId u = 0; u < 6; ++u) {
@@ -669,9 +720,9 @@ TEST(DynamicGeeKHop, OversizedSubsetFallsBackToFullCopy) {
   EXPECT_LT(core::max_abs_diff(*dg.snapshot().z, reference.z), 1e-10);
 }
 
-// k-hop writer racing reader snapshots: the PR's new concurrency surface
-// (frontier CSR snapshots, subset re-embeds, row-patch promotions are all
-// writer-side; readers must stay undisturbed). Run under TSan in CI.
+// k-hop writer racing reader snapshots: subset re-embeds and row-patch
+// promotions are writer-side; readers must stay undisturbed. Run under
+// TSan in CI.
 TEST(DynamicGeeKHop, ConcurrentReadersWithKHopWriter) {
   const VertexId n = 64;
   const auto labels = gen::semi_supervised_labels(n, 4, 0.5, 131);
@@ -729,29 +780,6 @@ TEST(DynamicGeeKHop, ConcurrentReadersWithKHopWriter) {
                                             Backend::kCompiledSerial});
   EXPECT_LT(core::max_abs_diff(*dg.snapshot().z, reference.z), 1e-9);
   EXPECT_EQ(dg.epoch(), 300u);
-}
-
-TEST(DynamicGeeKHop, FrontierRefreshAmortizesAcrossBatches) {
-  // Seed a substantial graph, then stream many single-edge batches: at the
-  // default 10% refresh fraction the frontier CSR must be rebuilt far
-  // fewer times than there are batches.
-  const auto el = gen::erdos_renyi_gnm(200, 4000, 139);
-  const auto labels = gen::semi_supervised_labels(200, 4, 0.5, 149);
-  Options options;
-  options.stream_update_strategy = core::UpdateStrategy::kKHop;
-  options.stream_khop_hops = 1;  // refresh machinery only engages with a halo
-  DynamicGee dg(el, labels, options);
-
-  util::Xoshiro256 rng(151);
-  for (int b = 0; b < 100; ++b) {
-    UpdateBatch batch;
-    batch.add(static_cast<VertexId>(rng.next_below(200)),
-              static_cast<VertexId>(rng.next_below(200)));
-    dg.apply(batch);
-  }
-  EXPECT_GE(dg.stats().frontier_rebuilds, 1u);
-  EXPECT_LT(dg.stats().frontier_rebuilds, 5u);  // 100 changes vs 10% of 4000
-  EXPECT_EQ(dg.stats().khop_batches, 100u);
 }
 
 TEST(DynamicGee, EmptyAndChurnOnlyBatchesPublishNothing) {

@@ -201,8 +201,6 @@ TEST(ParseUpdateStrategy, RoundTripsEveryStrategy) {
 TEST(ParseUpdateStrategy, NamesAreStable) {
   // The names are a CLI contract (EXPERIMENTS.md invocations, CI smoke
   // runs); renaming one is a breaking change, not a refactor.
-  EXPECT_EQ(gee::util::parse_update_strategy("serial"),
-            gee::core::UpdateStrategy::kSerial);
   EXPECT_EQ(gee::util::parse_update_strategy("delta"),
             gee::core::UpdateStrategy::kDelta);
   EXPECT_EQ(gee::util::parse_update_strategy("khop"),
@@ -211,6 +209,9 @@ TEST(ParseUpdateStrategy, NamesAreStable) {
             gee::core::UpdateStrategy::kAuto);
   EXPECT_FALSE(gee::util::parse_update_strategy("no-such-strategy")
                    .has_value());
+  // "serial" is not a strategy: the serial loop is kDelta at an infinite
+  // parallel threshold.
+  EXPECT_EQ(gee::util::parse_update_strategy("serial"), std::nullopt);
 }
 
 TEST(ParseUpdateStrategy, ChoicesListEveryName) {
