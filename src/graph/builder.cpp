@@ -5,10 +5,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
-#include "parallel/scan.hpp"
+#include "parallel/sort.hpp"
 
 namespace gee::graph {
 
@@ -54,32 +53,19 @@ void sort_rows(std::span<const EdgeId> offsets, std::vector<VertexId>& targets,
   });
 }
 
-/// Shared scatter core: counts[v] must hold out-degrees; returns a Csr whose
-/// row v contains {dst(e), w(e)} for every edge e with key(e) == v.
-template <class KeyFn, class DstFn, class WeightFn>
-Csr scatter_build(VertexId n, EdgeId m, bool weighted, KeyFn&& key,
-                  DstFn&& dst, WeightFn&& weight, bool sort_neighbors) {
-  std::vector<EdgeId> degree(static_cast<std::size_t>(n) + 1, 0);
-  gee::par::parallel_for(EdgeId{0}, m, [&](EdgeId e) {
-    gee::par::write_add(degree[key(e)], EdgeId{1});
-  });
-
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1);
-  gee::par::scan_exclusive(degree.data(), offsets.data(), degree.size());
-
+/// Bucket the arcs `emit(lo, hi, sink)` produces for items [lo, hi) as
+/// sink(row, target, weight) into a Csr over rows [0, n); rows keep emit
+/// order unless sort_neighbors.
+template <class Emit>
+Csr bucket_rows(VertexId n, EdgeId m, bool weighted, bool sort_neighbors,
+                Emit&& emit) {
   std::vector<VertexId> targets(m);
   std::vector<Weight> weights(weighted ? m : 0);
-  // Reuse `degree` as the per-vertex write cursor (reset to row starts).
-  gee::par::parallel_for(std::size_t{0}, static_cast<std::size_t>(n) + 1,
-                         [&](std::size_t i) { degree[i] = offsets[i]; });
-  gee::par::parallel_for(EdgeId{0}, m, [&](EdgeId e) {
-    const VertexId u = key(e);
-    std::atomic_ref<EdgeId> cursor(degree[u]);
-    const EdgeId pos = cursor.fetch_add(1, std::memory_order_relaxed);
-    targets[pos] = dst(e);
-    if (weighted) weights[pos] = weight(e);
-  });
-
+  std::vector<EdgeId> offsets = gee::par::stable_bucket(
+      m, n, emit, [&](EdgeId slot, VertexId v, Weight w) {
+        targets[slot] = v;
+        if (weighted) weights[slot] = w;
+      });
   if (sort_neighbors) sort_rows(offsets, targets, weights);
   return Csr(std::move(offsets), std::move(targets), std::move(weights));
 }
@@ -90,6 +76,7 @@ Csr build_csr(const EdgeList& edges, VertexId n, BuildOptions options) {
   const EdgeId m = edges.num_edges();
   const auto srcs = edges.srcs();
   const auto dsts = edges.dsts();
+  const auto weights = edges.weights();
 
   // Validate up front: a bad vertex id would otherwise corrupt the scatter.
   const bool in_range = gee::par::reduce<bool>(
@@ -99,30 +86,27 @@ Csr build_csr(const EdgeList& edges, VertexId n, BuildOptions options) {
     throw std::out_of_range("build_csr: edge references vertex >= n");
   }
 
-  return scatter_build(
-      n, m, edges.weighted(), [&](EdgeId e) { return srcs[e]; },
-      [&](EdgeId e) { return dsts[e]; }, [&](EdgeId e) { return edges.weight(e); },
-      options.sort_neighbors);
+  return bucket_rows(
+      n, m, edges.weighted(), options.sort_neighbors,
+      [&](std::size_t lo, std::size_t hi, auto&& sink) {
+        for (std::size_t e = lo; e < hi; ++e) {
+          sink(srcs[e], dsts[e], weights.empty() ? Weight{1} : weights[e]);
+        }
+      });
 }
 
 Csr transpose(const Csr& csr) {
-  const VertexId n = csr.num_vertices();
-  const EdgeId m = csr.num_edges();
-  const auto offsets = csr.offsets();
-  const auto targets = csr.targets();
-
-  // Edge e's source is the row containing position e; precompute it once so
-  // the scatter's key lookup is O(1) instead of a binary search per edge.
-  std::vector<VertexId> source_of(m);
-  gee::par::parallel_for_dynamic(VertexId{0}, n, [&](VertexId u) {
-    for (EdgeId e = offsets[u]; e < offsets[u + 1]; ++e) source_of[e] = u;
-  });
-
-  return scatter_build(
-      n, m, csr.weighted(), [&](EdgeId e) { return targets[e]; },
-      [&](EdgeId e) { return source_of[e]; },
-      [&](EdgeId e) { return csr.weight_at(e); },
-      /*sort_neighbors=*/true);
+  // Walking arcs row by row hands each target row its sources ascending;
+  // the row sort still orders parallel arcs by weight when `csr`'s rows
+  // were built unsorted.
+  return bucket_rows(
+      csr.num_vertices(), csr.num_edges(), csr.weighted(),
+      /*sort_neighbors=*/true,
+      [&](std::size_t lo, std::size_t hi, auto&& sink) {
+        for_arcs_in_range(csr, lo, hi, [&](VertexId u, VertexId v, Weight w) {
+          sink(v, u, w);
+        });
+      });
 }
 
 }  // namespace gee::graph

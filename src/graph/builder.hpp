@@ -1,12 +1,10 @@
 // Parallel CSR construction and transposition.
 //
-// Build strategy (see DESIGN.md): degree counting with per-edge atomic
-// increments, prefix-sum of degrees into offsets, then atomic-cursor scatter
-// of (target, weight) pairs. The scatter places each vertex's neighbors in a
-// nondeterministic order, so with sort_neighbors (the default) every row is
-// then sorted by target id, giving a layout that is bit-identical across
-// thread counts. This avoids the threads*n count matrix a stable global
-// counting sort would need at 65M+ vertices.
+// Both are one par::stable_bucket pass (DESIGN.md section 5): arcs are
+// counted per chunk, scanned into row offsets and placed through per-chunk
+// cursors, so no atomics are involved and each row holds its arcs in input
+// order. With sort_neighbors (the default) every row is then sorted by
+// (target, weight).
 #pragma once
 
 #include "graph/csr.hpp"
@@ -14,12 +12,13 @@
 
 namespace gee::graph {
 
-/// Build the out-CSR of `edges` over vertex set [0, n).
+/// Build the out-CSR of `edges` over vertex set [0, n). Rows are sorted by
+/// (target, weight) with options.sort_neighbors, in input order without.
 /// Throws std::out_of_range if an edge references a vertex >= n.
 Csr build_csr(const EdgeList& edges, VertexId n, BuildOptions options = {});
 
 /// Transpose: CSR of reversed edges. Weighted inputs keep per-edge weights.
-/// Rows of the result are sorted by target id.
+/// Rows of the result are sorted by (target, weight).
 Csr transpose(const Csr& csr);
 
 }  // namespace gee::graph

@@ -49,20 +49,6 @@ Graph Graph::build(const EdgeList& edges, GraphKind kind, BuildOptions options,
   return g;
 }
 
-void Graph::rebuild(const EdgeList& edges, GraphKind kind,
-                    BuildOptions options, VertexId n) {
-  Graph fresh = build(edges, kind, options, n);
-  out_ = std::move(fresh.out_);
-  in_ = std::move(fresh.in_);
-  directed_ = fresh.directed_;
-  // The invalidation hook: derived structures (partition plans, ...) were
-  // computed from the old adjacency. Detach rather than clear -- copies of
-  // the old Graph share the old AuxCache AND the old CSR, so their cached
-  // artifacts stay mutually consistent.
-  aux_ = std::make_shared<util::AuxCache>();
-  ++generation_;
-}
-
 Graph Graph::from_symmetric_csr(Csr csr) {
   Graph g;
   g.out_ = std::make_shared<Csr>(std::move(csr));

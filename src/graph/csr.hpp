@@ -7,6 +7,7 @@
 // of an undirected graph as two symmetric directed graphs (paper section II).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <span>
@@ -75,6 +76,24 @@ class Csr {
   std::vector<Weight> weights_;    // m entries or empty (unit weights)
 };
 
+/// Visit arcs [lo, hi) of `arcs` in storage order as fn(u, v, w). Storage
+/// order is row-major, so a range of the arc index space is a contiguous
+/// run of (partial) adjacency rows.
+template <class Fn>
+void for_arcs_in_range(const Csr& arcs, EdgeId lo, EdgeId hi, Fn&& fn) {
+  if (lo >= hi) return;
+  const auto offsets = arcs.offsets();
+  const auto targets = arcs.targets();
+  const auto weights = arcs.weights();
+  auto u = static_cast<VertexId>(
+      std::upper_bound(offsets.begin(), offsets.end(), lo) -
+      offsets.begin() - 1);
+  for (EdgeId e = lo; e < hi; ++e) {
+    while (offsets[u + 1] <= e) ++u;
+    fn(u, targets[e], weights.empty() ? Weight{1} : weights[e]);
+  }
+}
+
 /// How Graph::build interprets the input edge list.
 enum class GraphKind {
   /// Keep edges as given; build the transpose for in-edge traversals.
@@ -87,8 +106,9 @@ enum class GraphKind {
 };
 
 struct BuildOptions {
-  /// Sort each adjacency row by target id (deterministic layout; required
-  /// for is_symmetric and binary-search membership tests).
+  /// Sort each adjacency row by (target, weight); off, rows keep input
+  /// order. Sorted rows are required for is_symmetric and binary-search
+  /// membership tests.
   bool sort_neighbors = true;
   /// Build the in-CSR (transpose) for directed graphs. The GEE pull backend
   /// and dense edgeMap need it; pure push algorithms can skip the memory.
@@ -108,16 +128,6 @@ class Graph {
 
   /// Wrap directed out/in CSR pair (in may be empty -> in() unavailable).
   static Graph from_directed_csr(Csr out, Csr in);
-
-  /// In-place mutation hook: replace this Graph's adjacency with one rebuilt
-  /// from `edges` (same parameters as build). Every derived structure cached
-  /// on aux() is invalidated by detaching to a *fresh* AuxCache -- copies of
-  /// the pre-mutation Graph keep the old cache, which still matches their
-  /// (shared, immutable) CSR, so a stale plan can never be paired with the
-  /// new adjacency. generation() increments on every mutation; long-lived
-  /// holders can compare generations instead of pointers.
-  void rebuild(const EdgeList& edges, GraphKind kind, BuildOptions options = {},
-               VertexId n = 0);
 
   [[nodiscard]] VertexId num_vertices() const noexcept {
     return out_ ? out_->num_vertices() : 0;
@@ -141,24 +151,16 @@ class Graph {
     return *in_;
   }
 
-  /// Cache for structures derived from this graph's current adjacency,
-  /// e.g. the edge partition plan. Shared by copies, so repeated embed()
-  /// calls on the same graph amortize derived-structure construction.
-  /// rebuild() detaches to a fresh cache (see above): cached artifacts are
-  /// valid exactly as long as the adjacency they were derived from.
+  /// Cache for structures derived from this graph's adjacency, e.g. the
+  /// edge partition plan. Shared by copies, so repeated embed() calls on
+  /// the same graph amortize derived-structure construction. A built Graph
+  /// never changes, so a cached artifact cannot outlive its adjacency.
   [[nodiscard]] util::AuxCache& aux() const noexcept { return *aux_; }
-
-  /// Mutation counter: 0 for a freshly built graph, +1 per rebuild().
-  /// Copies inherit the value at copy time.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
-  }
 
  private:
   std::shared_ptr<const Csr> out_;
   std::shared_ptr<const Csr> in_;  // == out_ for undirected graphs
   std::shared_ptr<util::AuxCache> aux_ = std::make_shared<util::AuxCache>();
-  std::uint64_t generation_ = 0;
   bool directed_ = false;
 };
 

@@ -1,8 +1,9 @@
 // Parallel histograms over small key spaces.
 //
-// Used for degree counting in the CSR builder and class counting in the GEE
-// projection matrix (the paper's parallel O(nK) initialization). Per-thread
-// local counts merged at the end: no atomics on the hot path, deterministic.
+// Used for the partitioner's per-row entry counts and class counting in the
+// GEE projection matrix (the paper's parallel O(nK) initialization).
+// Per-thread local counts merged at the end: no atomics on the hot path,
+// deterministic.
 #pragma once
 
 #include <cstddef>

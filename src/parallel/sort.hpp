@@ -1,122 +1,97 @@
-// Parallel sorting primitives.
+// Stable parallel bucketing: the one counting sort in the project.
 //
-// Two tools, chosen per use-site:
-//  * counting_sort_permutation: stable, deterministic, O(n + buckets*blocks)
-//    memory -- for small key spaces (labels, small vertex counts).
-//  * parallel_sort: general comparison sort (blocked std::sort + pairwise
-//    parallel merges) -- for neighbor-list ordering and sample data.
-// The CSR builder deliberately does NOT use a global counting sort for large
-// vertex counts (the per-block count matrix would be blocks*n words); it
-// uses atomic-cursor scatter plus per-row sorts instead (see graph/builder).
+// The CSR build (graph::build_csr), the transpose and every partition plan
+// builder group items by a small-integer key -- a source vertex, a target
+// vertex, an owning block -- and all of them need the result independent
+// of the thread count. stable_bucket does that with per-chunk histograms
+// and an exclusive scan: no atomics, and entries with equal keys keep
+// their input order (see DESIGN.md section 5).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
+#include "parallel/scan.hpp"
 
 namespace gee::par {
 
-/// Stable parallel counting sort: returns the permutation `perm` with
-/// perm[output_pos] = input_index such that key(perm[0]) <= key(perm[1]) ...,
-/// preserving input order within equal keys.
-/// Requires keys in [0, nbuckets); intended for nbuckets up to ~2^20.
-/// Deterministic: the block decomposition is fixed by `n`, not thread count.
-template <class Key>
-std::vector<std::uint64_t> counting_sort_permutation(std::size_t n,
-                                                     std::size_t nbuckets,
-                                                     Key&& key) {
-  // Fixed block count => deterministic output. 4x threads for balance,
-  // capped so the count matrix stays small.
-  std::size_t blocks = 1;
-  if (n >= (std::size_t{1} << 14) && !in_parallel()) {
-    blocks = std::min<std::size_t>(static_cast<std::size_t>(num_threads()) * 4,
-                                   std::size_t{256});
-  }
+/// Stable counting sort of the entries of `num_items` items into
+/// `num_buckets` buckets.
+///
+/// `emit(lo, hi, sink)` must call `sink(bucket, item...)` for every entry
+/// of items [lo, hi), in order; an item may emit any number of entries and
+/// must emit the same ones each time it is asked. `place(slot, item...)`
+/// stores one entry at output position `slot`. Returns the num_buckets + 1
+/// bucket offsets: bucket b's entries occupy [offsets[b], offsets[b+1]).
+///
+/// Entries land ordered by (bucket, item order, emit order), so the output
+/// does not depend on the chunk or thread count. Each chunk of items is
+/// emitted twice, once to count and once to place. Chunks number
+/// clamp(num_items / (4 * num_buckets), 1, threads), so the per-chunk
+/// counter matrix never holds more than one 8-byte counter per four items.
+template <class Emit, class Place>
+std::vector<std::uint64_t> stable_bucket(std::size_t num_items,
+                                         std::size_t num_buckets, Emit&& emit,
+                                         Place&& place) {
+  const std::size_t num_chunks = std::clamp<std::size_t>(
+      num_items / (4 * std::max<std::size_t>(num_buckets, 1)), 1,
+      static_cast<std::size_t>(num_threads()));
+  // The counter matrix, row c for chunk c, is one allocation by the calling
+  // thread so that freeing it returns it to the system: rows allocated by
+  // the workers would stay resident in their malloc arenas (24 MiB after an
+  // embed-dense build).
+  const auto cursor = std::make_unique_for_overwrite<std::uint64_t[]>(
+      num_chunks * num_buckets);
 
-  // counts[b][k]: occurrences of key k inside block b.
-  std::vector<std::vector<std::uint64_t>> counts(blocks);
+  // Count pass: per-chunk histogram over buckets.
   parallel_team([&](int tid, int team) {
-    for (std::size_t b = static_cast<std::size_t>(tid); b < blocks;
-         b += static_cast<std::size_t>(team)) {
-      counts[b].assign(nbuckets, 0);
-      const auto [lo, hi] = block_range(n, blocks, b);
-      for (std::size_t i = lo; i < hi; ++i) counts[b][key(i)]++;
+    for (auto c = static_cast<std::size_t>(tid); c < num_chunks;
+         c += static_cast<std::size_t>(team)) {
+      std::uint64_t* const mine = cursor.get() + c * num_buckets;
+      std::fill_n(mine, num_buckets, 0);
+      const auto [lo, hi] = block_range(num_items, num_chunks, c);
+      emit(lo, hi, [&](std::size_t bucket, auto&&...) { ++mine[bucket]; });
     }
   });
 
-  // Exclusive scan in (key-major, block-minor) order: gives each (block,
-  // key) pair its first output slot. That ordering is what makes the sort
-  // stable.
-  std::uint64_t offset = 0;
-  for (std::size_t k = 0; k < nbuckets; ++k) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::uint64_t c = counts[b][k];
-      counts[b][k] = offset;
-      offset += c;
+  // Bucket totals, scanned into offsets; then each bucket hands its chunks
+  // consecutive write cursors in chunk order, which is what keeps equal
+  // keys in input order.
+  std::vector<std::uint64_t> offsets(num_buckets + 1);
+  parallel_for(std::size_t{0}, num_buckets, [&](std::size_t b) {
+    std::uint64_t total = 0;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      total += cursor[c * num_buckets + b];
     }
-  }
-
-  std::vector<std::uint64_t> perm(n);
-  parallel_team([&](int tid, int team) {
-    for (std::size_t b = static_cast<std::size_t>(tid); b < blocks;
-         b += static_cast<std::size_t>(team)) {
-      auto& cursor = counts[b];  // now holds start offsets; advance in place
-      const auto [lo, hi] = block_range(n, blocks, b);
-      for (std::size_t i = lo; i < hi; ++i) perm[cursor[key(i)]++] = i;
+    offsets[b] = total;
+  });
+  offsets[num_buckets] =
+      scan_exclusive(offsets.data(), offsets.data(), num_buckets);
+  parallel_for(std::size_t{0}, num_buckets, [&](std::size_t b) {
+    std::uint64_t at = offsets[b];
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      const std::uint64_t count = cursor[c * num_buckets + b];
+      cursor[c * num_buckets + b] = at;
+      at += count;
     }
   });
-  return perm;
-}
 
-/// General parallel comparison sort. Splits into 2^k blocks (one per thread,
-/// rounded down), std::sorts blocks, then merges adjacent pairs in parallel
-/// rounds. Not stable. Falls back to std::sort for small inputs.
-template <class It, class Compare = std::less<>>
-void parallel_sort(It first, It last, Compare comp = {}) {
-  const auto n = static_cast<std::size_t>(last - first);
-  const int nthreads = num_threads();
-  if (n < (std::size_t{1} << 14) || nthreads == 1 || in_parallel()) {
-    std::sort(first, last, comp);
-    return;
-  }
-  std::size_t blocks = 1;
-  while (blocks * 2 <= static_cast<std::size_t>(nthreads)) blocks *= 2;
-
-  std::vector<std::size_t> bounds(blocks + 1);
-  bounds[0] = 0;
-  for (std::size_t b = 0; b < blocks; ++b)
-    bounds[b + 1] = block_range(n, blocks, b).hi;
-
-  // Through parallel_for_dynamic (not raw pragmas) so the wrapper's TSan
-  // fork/join annotations cover these regions too. chunk=0 would serialize;
-  // chunk=1 hands out one block/merge at a time exactly like the previous
-  // schedule(dynamic, 1).
-  parallel_for_dynamic(
-      std::size_t{0}, blocks,
-      [&](std::size_t b) {
-        std::sort(first + static_cast<std::ptrdiff_t>(bounds[b]),
-                  first + static_cast<std::ptrdiff_t>(bounds[b + 1]), comp);
-      },
-      /*chunk=*/1);
-
-  for (std::size_t width = 1; width < blocks; width *= 2) {
-    const std::size_t pairs = blocks / (2 * width);
-    parallel_for_dynamic(
-        std::size_t{0}, pairs,
-        [&](std::size_t p) {
-          const std::size_t lo = bounds[p * 2 * width];
-          const std::size_t mid = bounds[p * 2 * width + width];
-          const std::size_t hi = bounds[p * 2 * width + 2 * width];
-          std::inplace_merge(first + static_cast<std::ptrdiff_t>(lo),
-                             first + static_cast<std::ptrdiff_t>(mid),
-                             first + static_cast<std::ptrdiff_t>(hi), comp);
-        },
-        /*chunk=*/1);
-  }
+  // Scatter pass: re-emit and place each entry at its chunk's cursor.
+  parallel_team([&](int tid, int team) {
+    for (auto c = static_cast<std::size_t>(tid); c < num_chunks;
+         c += static_cast<std::size_t>(team)) {
+      std::uint64_t* const mine = cursor.get() + c * num_buckets;
+      const auto [lo, hi] = block_range(num_items, num_chunks, c);
+      emit(lo, hi, [&](std::size_t bucket, auto&&... item) {
+        place(mine[bucket]++, item...);
+      });
+    }
+  });
+  return offsets;
 }
 
 }  // namespace gee::par

@@ -6,6 +6,7 @@
 #include "parallel/histogram.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/scan.hpp"
+#include "parallel/sort.hpp"
 
 namespace gee::partition {
 
@@ -26,82 +27,45 @@ std::uint64_t plan_key(UpdateSides sides, int num_blocks,
          static_cast<std::uint32_t>(num_blocks);
 }
 
-/// Visit arcs [lo, hi) of `arcs` in storage order as (u, v, w). Storage
-/// order is row-major, so a chunk of the arc index space is a contiguous
-/// run of (partial) adjacency rows.
-template <class Fn>
-void for_arcs_in_range(const graph::Csr& arcs, EdgeId lo, EdgeId hi,
-                       Fn&& fn) {
-  if (lo >= hi) return;
-  const auto offsets = arcs.offsets();
-  const auto targets = arcs.targets();
-  const auto weights = arcs.weights();
-  auto u = static_cast<VertexId>(
-      std::upper_bound(offsets.begin(), offsets.end(), lo) -
-      offsets.begin() - 1);
-  for (EdgeId e = lo; e < hi; ++e) {
-    while (offsets[u + 1] <= e) ++u;
-    fn(u, targets[e], weights.empty() ? Weight{1} : weights[e]);
-  }
-}
-
-/// The stable parallel counting sort shared by every plan builder.
-/// `emit_chunk(c, sink)` must call sink(row, other, weight) for every entry
-/// of chunk c, in the global entry order restricted to that chunk; chunks
-/// must cover the entry stream contiguously and in order. `block_of(row)`
-/// maps a row to its owning block (a flat table for the dense builders, a
-/// boundary binary search for the sparse delta builder). Stability makes
-/// the output independent of the chunk count: an entry's slot is determined
-/// by (block, global order) alone.
-template <class BlockOf, class EmitChunk>
-void bucket_entries(EdgePartitionPlan& plan, BlockOf&& block_of,
-                    EdgeId num_entries, bool weighted, int num_chunks,
-                    EmitChunk&& emit_chunk) {
-  const int num_blocks = plan.num_blocks;
-  std::vector<std::vector<std::uint64_t>> cursor(
-      static_cast<std::size_t>(num_chunks));
-
-  // Count pass: per-chunk histogram over owning blocks.
-  gee::par::parallel_team([&](int tid, int team) {
-    for (int c = tid; c < num_chunks; c += team) {
-      auto& mine = cursor[static_cast<std::size_t>(c)];
-      mine.assign(static_cast<std::size_t>(num_blocks), 0);
-      emit_chunk(c, [&](VertexId row, VertexId /*other*/, Weight /*w*/) {
-        mine[block_of(row)]++;
-      });
-    }
-  });
-
-  // Exclusive scan ordered (block-major, chunk-minor): turns the counts
-  // into write cursors that realize the stable order.
-  plan.entry_offsets.assign(static_cast<std::size_t>(num_blocks) + 1, 0);
-  std::uint64_t off = 0;
-  for (int b = 0; b < num_blocks; ++b) {
-    plan.entry_offsets[static_cast<std::size_t>(b)] = off;
-    for (int c = 0; c < num_chunks; ++c) {
-      const std::uint64_t count = cursor[static_cast<std::size_t>(c)]
-                                        [static_cast<std::size_t>(b)];
-      cursor[static_cast<std::size_t>(c)][static_cast<std::size_t>(b)] = off;
-      off += count;
-    }
-  }
-  plan.entry_offsets.back() = off;
-
-  // Scatter pass: re-emit and write each entry at its cursor.
+/// Allocate `plan`'s entry arrays and stable-bucket into them, by owning
+/// block, the entries `emit(lo, hi, sink)` produces for items [lo, hi) as
+/// sink(block, row, other, weight).
+template <class Emit>
+void fill_entries(EdgePartitionPlan& plan, EdgeId num_items,
+                  EdgeId num_entries, bool weighted, Emit&& emit) {
   plan.rows.reset(num_entries);
   plan.others.reset(num_entries);
   plan.weights.reset(weighted ? num_entries : 0);
-  gee::par::parallel_team([&](int tid, int team) {
-    for (int c = tid; c < num_chunks; c += team) {
-      auto& mine = cursor[static_cast<std::size_t>(c)];
-      emit_chunk(c, [&](VertexId row, VertexId other, Weight w) {
-        const std::uint64_t i = mine[block_of(row)]++;
+  plan.entry_offsets = gee::par::stable_bucket(
+      num_items, static_cast<std::size_t>(plan.num_blocks), emit,
+      [&](EdgeId i, VertexId row, VertexId other, Weight w) {
         plan.rows[i] = row;
         plan.others[i] = other;
         if (weighted) plan.weights[i] = w;
       });
-    }
-  });
+}
+
+/// fill_entries with both entries of every edge of `edges`, in the serial
+/// reference order (pass_serial_edges): source-side first (line 10),
+/// dest-side second (line 11). `block_of(row)` maps a row to its owning
+/// block.
+template <class BlockOf>
+void fill_edge_entries(EdgePartitionPlan& plan, const graph::EdgeList& edges,
+                       BlockOf&& block_of) {
+  const auto srcs = edges.srcs();
+  const auto dsts = edges.dsts();
+  const auto weights = edges.weights();
+  fill_entries(plan, edges.num_edges(), 2 * edges.num_edges(),
+               edges.weighted(),
+               [&](std::size_t lo, std::size_t hi, auto&& sink) {
+                 for (std::size_t e = lo; e < hi; ++e) {
+                   const Weight w = weights.empty() ? Weight{1} : weights[e];
+                   // src-side: row u, contributor v
+                   sink(block_of(srcs[e]), srcs[e], dsts[e], w);
+                   // dest-side: row v, contributor u
+                   sink(block_of(dsts[e]), dsts[e], srcs[e], w);
+                 }
+               });
 }
 
 /// row -> owning block lookup table (blocks are few, rows are many; a flat
@@ -171,24 +135,20 @@ EdgePartitionPlan build_plan(const graph::Csr& arcs, UpdateSides sides,
 
   plan.row_starts =
       split_by_weight(std::span<const std::uint64_t>(prefix), num_blocks);
-  const auto block_table = invert_boundaries(plan.row_starts);
-  const auto block_of = [&](VertexId r) { return block_table[r]; };
+  const auto block_of = invert_boundaries(plan.row_starts);
 
-  // Chunk the arc index space evenly; each chunk emits its entries in arc
-  // order (dest-side first, then source-side, matching pass_serial_csr).
-  const int num_chunks = std::max(1, gee::par::num_threads());
-  auto emit_chunk = [&](int c, auto&& sink) {
-    const auto [lo, hi] =
-        gee::par::block_range(static_cast<std::size_t>(m),
-                              static_cast<std::size_t>(num_chunks),
-                              static_cast<std::size_t>(c));
-    for_arcs_in_range(arcs, lo, hi, [&](VertexId u, VertexId v, Weight w) {
-      sink(v, u, w);            // dest-side: row v accumulates u's class mass
-      if (both) sink(u, v, w);  // src-side: row u accumulates v's class mass
-    });
-  };
-  bucket_entries(plan, block_of, num_entries, arcs.weighted(), num_chunks,
-                 emit_chunk);
+  // Entries in arc order: dest-side first, then source-side, matching
+  // pass_serial_csr.
+  fill_entries(plan, m, num_entries, arcs.weighted(),
+               [&](std::size_t lo, std::size_t hi, auto&& sink) {
+                 graph::for_arcs_in_range(
+                     arcs, lo, hi, [&](VertexId u, VertexId v, Weight w) {
+                       // dest-side: row v accumulates u's class mass
+                       sink(block_of[v], v, u, w);
+                       // src-side: row u accumulates v's class mass
+                       if (both) sink(block_of[u], u, v, w);
+                     });
+               });
   return plan;
 }
 
@@ -196,10 +156,8 @@ EdgePartitionPlan build_plan(const graph::EdgeList& edges, int num_blocks) {
   num_blocks = resolve_num_blocks(num_blocks);
   const VertexId n = edges.num_vertices();
   const EdgeId m = edges.num_edges();
-  const EdgeId num_entries = 2 * m;
   const auto srcs = edges.srcs();
   const auto dsts = edges.dsts();
-  const auto weights = edges.weights();
 
   EdgePartitionPlan plan;
   plan.num_blocks = num_blocks;
@@ -221,25 +179,8 @@ EdgePartitionPlan build_plan(const graph::EdgeList& edges, int num_blocks) {
 
   plan.row_starts =
       split_by_weight(std::span<const std::uint64_t>(prefix), num_blocks);
-  const auto block_table = invert_boundaries(plan.row_starts);
-  const auto block_of = [&](VertexId r) { return block_table[r]; };
-
-  // Emit per edge in the serial reference order (pass_serial_edges):
-  // source-side first (line 10), dest-side second (line 11).
-  const int num_chunks = std::max(1, gee::par::num_threads());
-  auto emit_chunk = [&](int c, auto&& sink) {
-    const auto [lo, hi] =
-        gee::par::block_range(static_cast<std::size_t>(m),
-                              static_cast<std::size_t>(num_chunks),
-                              static_cast<std::size_t>(c));
-    for (std::size_t e = lo; e < hi; ++e) {
-      const Weight w = weights.empty() ? Weight{1} : weights[e];
-      sink(srcs[e], dsts[e], w);  // src-side: row u, contributor v
-      sink(dsts[e], srcs[e], w);  // dest-side: row v, contributor u
-    }
-  };
-  bucket_entries(plan, block_of, num_entries, edges.weighted(), num_chunks,
-                 emit_chunk);
+  const auto block_of = invert_boundaries(plan.row_starts);
+  fill_edge_entries(plan, edges, [&](VertexId r) { return block_of[r]; });
   return plan;
 }
 
@@ -251,7 +192,6 @@ EdgePartitionPlan build_delta_plan(const graph::EdgeList& edges,
   const EdgeId num_entries = 2 * m;
   const auto srcs = edges.srcs();
   const auto dsts = edges.dsts();
-  const auto weights = edges.weights();
 
   EdgePartitionPlan plan;
   plan.num_blocks = num_blocks;
@@ -290,21 +230,7 @@ EdgePartitionPlan build_delta_plan(const graph::EdgeList& edges,
         row_starts.begin() - 1);
   };
 
-  // Emit per edge in the serial reference order, as build_plan(EdgeList).
-  const int num_chunks = std::max(1, gee::par::num_threads());
-  auto emit_chunk = [&](int c, auto&& sink) {
-    const auto [lo, hi] =
-        gee::par::block_range(static_cast<std::size_t>(m),
-                              static_cast<std::size_t>(num_chunks),
-                              static_cast<std::size_t>(c));
-    for (std::size_t e = lo; e < hi; ++e) {
-      const Weight w = weights.empty() ? Weight{1} : weights[e];
-      sink(srcs[e], dsts[e], w);  // src-side: row u, contributor v
-      sink(dsts[e], srcs[e], w);  // dest-side: row v, contributor u
-    }
-  };
-  bucket_entries(plan, block_of, num_entries, edges.weighted(), num_chunks,
-                 emit_chunk);
+  fill_edge_entries(plan, edges, block_of);
   return plan;
 }
 

@@ -8,9 +8,9 @@
 //      on a power-law graph equal-width row ranges would hand one worker
 //      all the hub traffic;
 //   2. boundary selection: P quantiles of the entry-count prefix;
-//   3. a stable parallel counting sort of the entries by owning block
-//      (per-chunk histograms + exclusive scan, no atomics), which preserves
-//      the original arc order inside each block.
+//   3. par::stable_bucket (parallel/sort.hpp, the counting sort the CSR
+//      build also uses; no atomics) groups the entries by owning block and
+//      keeps the original arc order inside each block.
 #pragma once
 
 #include <algorithm>

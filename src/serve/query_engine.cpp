@@ -60,13 +60,16 @@ std::vector<ClassScore> top_k_classes(std::span<const Real> row, int k) {
 
 QueryEngine::QueryEngine(const stream::DynamicGee& source,
                          core::Options options)
-    : source_(&source), options_(options) {
-  pinned_.store(std::make_shared<const Pinned>(Pinned{source.snapshot()}),
-                std::memory_order_release);
-}
+    : source_(&source),
+      options_(options),
+      pinned_(std::make_shared<const Pinned>(Pinned{source.snapshot()})) {}
 
 QueryEngine::Pin QueryEngine::pin_internal() const {
-  auto cur = pinned_.load(std::memory_order_acquire);
+  std::shared_ptr<const Pinned> cur;
+  {
+    std::lock_guard<std::mutex> lock(pin_mutex_);
+    cur = pinned_;
+  }
   const std::uint64_t bound =
       options_.serve_max_staleness < 0
           ? std::numeric_limits<std::uint64_t>::max()
@@ -83,11 +86,14 @@ QueryEngine::Pin QueryEngine::pin_internal() const {
       Pinned{*std::move(refreshed.fresh)});
   // Install only monotonically newer epochs: concurrent refreshes race,
   // and without the epoch guard a slower thread could overwrite a fresher
-  // pin, moving the epoch a later reader observes backwards.
-  while (!pinned_.compare_exchange_weak(cur, fresh,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    if (cur->snap.epoch >= fresh->snap.epoch) return {std::move(cur), 0};
+  // pin, moving the epoch a later reader observes backwards. The replaced
+  // pin is released after the lock: dropping the last reference returns
+  // its buffer to the writer's pool.
+  std::shared_ptr<const Pinned> replaced;
+  {
+    std::lock_guard<std::mutex> lock(pin_mutex_);
+    if (pinned_->snap.epoch >= fresh->snap.epoch) return {pinned_, 0};
+    replaced = std::exchange(pinned_, fresh);
   }
   refreshes_.fetch_add(1, std::memory_order_relaxed);
   ServeMetrics::get().refreshes.add();

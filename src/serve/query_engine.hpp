@@ -10,15 +10,15 @@
 // answered it and how stale that epoch was at pin time.
 //
 // Snapshot pinning: the engine holds one pinned snapshot shared by all
-// reader threads (an atomic shared_ptr; libstdc++ implements it with an
-// internal lock pool, so "pin" costs an uncontended micro-lock, never the
-// writer's publication mutex). Each query batch revalidates the pin with
-// DynamicGee's lock-free epoch counter and re-snapshots only when
-// staleness exceeds Options::serve_max_staleness -- so with a nonzero
-// bound, steady-state queries never contend with the writer at all.
-// Concurrent refreshes race benignly: a compare-exchange loop installs
-// only monotonically newer epochs, so the pin (and therefore the epoch a
-// single reader observes) never moves backwards.
+// reader threads (a shared_ptr behind a mutex the engine owns, so "pin"
+// costs one uncontended lock, never the writer's publication mutex). Each
+// query batch revalidates the pin with DynamicGee's lock-free epoch
+// counter and re-snapshots only when staleness exceeds
+// Options::serve_max_staleness -- so with a nonzero bound, steady-state
+// queries never contend with the writer at all. Concurrent refreshes race
+// benignly: the install compares epochs under the lock and keeps only
+// monotonically newer ones, so the pin (and therefore the epoch a single
+// reader observes) never moves backwards.
 //
 // Batching: query_batch answers a span of queries against ONE pinned
 // snapshot (replies are mutually consistent) and fans the synthesis across
@@ -34,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -135,7 +136,8 @@ class QueryEngine {
 
   const stream::DynamicGee* source_;
   core::Options options_;
-  mutable std::atomic<std::shared_ptr<const Pinned>> pinned_;
+  mutable std::mutex pin_mutex_;  // guards pinned_
+  mutable std::shared_ptr<const Pinned> pinned_;
   mutable std::atomic<std::uint64_t> queries_{0};
   mutable std::atomic<std::uint64_t> batches_{0};
   mutable std::atomic<std::uint64_t> refreshes_{0};

@@ -125,8 +125,4 @@ ShardSet::ApplyReport ShardSet::apply(const stream::UpdateBatch& batch) {
   return report;
 }
 
-void ShardSet::rebuild_all() {
-  for (auto& g : gees_) g->rebuild();
-}
-
 }  // namespace gee::shard

@@ -22,7 +22,7 @@
 // projection depends on global class counts, so every shard synthesizes
 // out-of-sample rows bitwise-identically to the unsharded engine.
 //
-// Threading contract: ONE writer thread calls apply()/rebuild_all();
+// Threading contract: ONE writer thread calls apply();
 // any number of reader threads use the engines concurrently (each engine
 // inherits its DynamicGee's reader guarantees). Per-shard epochs advance
 // independently -- a shard only publishes when a batch actually touches
@@ -97,9 +97,6 @@ class ShardSet {
   /// owning shard and leaves earlier shards applied (no cross-shard
   /// atomicity -- validate removals upstream, as the stream layer does).
   ApplyReport apply(const stream::UpdateBatch& batch);
-
-  /// Force a from-scratch rebuild on every shard (drift hygiene hooks).
-  void rebuild_all();
 
  private:
   ShardMap map_;

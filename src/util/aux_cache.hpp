@@ -1,19 +1,16 @@
 // Type-erased cache for derived structures attached to a host object.
 //
-// A Graph's adjacency is immutable between mutations, so structures derived
-// from it (the edge partition plan, and later sharding/batching metadata)
-// can be computed once and reused across embed() calls. The host owns one
-// AuxCache; derived modules stash their artifacts under a module-chosen
-// 64-bit key without the host ever naming their types -- which keeps
-// low-level containers (graph/) free of dependencies on the subsystems
-// built on top of them.
+// A built Graph's adjacency never changes, so structures derived from it
+// (the edge partition plan) can be computed once and reused across embed()
+// calls. The host owns one AuxCache; derived modules stash their artifacts
+// under a module-chosen 64-bit key without the host ever naming their
+// types -- which keeps low-level containers (graph/) free of dependencies
+// on the subsystems built on top of them.
 //
-// Invalidation contract: a host that mutates the data its cached artifacts
-// were derived from must DETACH -- replace its AuxCache pointer with a
-// fresh cache (see Graph::rebuild) -- rather than clear() a shared one.
-// Copies of the pre-mutation host share both the old cache and the old
-// underlying data, so detaching keeps every (data, cache) pairing
-// consistent while clear() would orphan the copies' artifacts.
+// Validity contract: an artifact is valid exactly as long as the data it
+// was derived from, so a host must not mutate that data while its cache
+// lives. Graph meets this by being immutable once built; its copies share
+// both the adjacency and the cache.
 //
 // Concurrency: find/insert are mutex-guarded; insert is first-writer-wins so
 // two threads racing to build the same artifact converge on one copy.

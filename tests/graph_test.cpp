@@ -1,12 +1,14 @@
 // Tests for the graph substrate: EdgeList, CSR builder, transpose,
 // transforms, and validation. Structural invariants are checked on random
-// graphs via parameterized sweeps; determinism across thread counts is
-// exercised explicitly because the builder uses atomic-cursor scatter.
+// graphs via parameterized sweeps. Row layouts are pinned exactly: sorted
+// rows follow (target, weight), unsorted rows follow input order, and both
+// are byte-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
@@ -141,6 +143,18 @@ TEST(BuildCsr, ParallelMultigraphKeepsAllCopies) {
   EXPECT_EQ(csr.degree(0), 5u);
 }
 
+/// Row u of `csr` as (target, weight) pairs in storage order.
+std::vector<std::pair<VertexId, Weight>> row_pairs(const Csr& csr,
+                                                   VertexId u) {
+  std::vector<std::pair<VertexId, Weight>> row;
+  const auto targets = csr.neighbors(u);
+  const auto weights = csr.edge_weights(u);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    row.push_back({targets[i], weights.empty() ? Weight{1} : weights[i]});
+  }
+  return row;
+}
+
 class BuildSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(BuildSweep, MatchesSerialOracle) {
@@ -148,21 +162,24 @@ TEST_P(BuildSweep, MatchesSerialOracle) {
   const auto el = random_edges(static_cast<VertexId>(n),
                                static_cast<EdgeId>(m), 42, /*weighted=*/true);
   const Csr csr = build_csr(el, static_cast<VertexId>(n));
+  const Csr unsorted =
+      build_csr(el, static_cast<VertexId>(n), {.sort_neighbors = false});
   EXPECT_TRUE(validate(csr).empty());
+  EXPECT_TRUE(validate(unsorted).empty());
   EXPECT_EQ(csr.num_edges(), el.num_edges());
   EXPECT_TRUE(has_sorted_rows(csr));
 
-  // Oracle: multiset adjacency built serially.
-  std::map<VertexId, std::multiset<std::pair<VertexId, Weight>>> oracle;
+  // Oracle: each row's (target, weight) pairs in input order, built
+  // serially; the sorted build must hold them sorted by (target, weight).
+  std::vector<std::vector<std::pair<VertexId, Weight>>> oracle(
+      static_cast<std::size_t>(n));
   for (EdgeId e = 0; e < el.num_edges(); ++e) {
-    oracle[el.src(e)].insert({el.dst(e), el.weight(e)});
+    oracle[el.src(e)].push_back({el.dst(e), el.weight(e)});
   }
   for (VertexId u = 0; u < static_cast<VertexId>(n); ++u) {
-    const auto row = csr.neighbors(u);
-    const auto w = csr.edge_weights(u);
-    std::multiset<std::pair<VertexId, Weight>> got;
-    for (std::size_t i = 0; i < row.size(); ++i) got.insert({row[i], w[i]});
-    ASSERT_EQ(got, oracle[u]) << "row " << u;
+    ASSERT_EQ(row_pairs(unsorted, u), oracle[u]) << "unsorted row " << u;
+    std::sort(oracle[u].begin(), oracle[u].end());
+    ASSERT_EQ(row_pairs(csr, u), oracle[u]) << "sorted row " << u;
   }
 }
 
@@ -174,17 +191,23 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BuildSweep,
 
 TEST(BuildCsr, DeterministicAcrossThreadCounts) {
   const auto el = random_edges(2000, 200000, 7, true);
-  Csr ref;
-  {
-    ThreadScope scope(1);
-    ref = build_csr(el, 2000);
-  }
-  for (int t : {2, 8}) {
-    ThreadScope scope(t);
-    const Csr got = build_csr(el, 2000);
-    ASSERT_TRUE(std::ranges::equal(got.offsets(), ref.offsets()));
-    ASSERT_TRUE(std::ranges::equal(got.targets(), ref.targets()));
-    ASSERT_TRUE(std::ranges::equal(got.weights(), ref.weights()));
+  for (const bool sorted : {true, false}) {
+    const BuildOptions options{.sort_neighbors = sorted};
+    Csr ref;
+    {
+      ThreadScope scope(1);
+      ref = build_csr(el, 2000, options);
+    }
+    for (int t : {2, 7, 8}) {
+      ThreadScope scope(t);
+      const Csr got = build_csr(el, 2000, options);
+      ASSERT_TRUE(std::ranges::equal(got.offsets(), ref.offsets()))
+          << "sorted=" << sorted << " threads=" << t;
+      ASSERT_TRUE(std::ranges::equal(got.targets(), ref.targets()))
+          << "sorted=" << sorted << " threads=" << t;
+      ASSERT_TRUE(std::ranges::equal(got.weights(), ref.weights()))
+          << "sorted=" << sorted << " threads=" << t;
+    }
   }
 }
 
@@ -197,17 +220,16 @@ TEST(Transpose, InvertsEdges) {
   EXPECT_EQ(rev.num_edges(), fwd.num_edges());
   EXPECT_TRUE(validate(rev).empty());
 
-  std::multiset<std::tuple<VertexId, VertexId, Weight>> fs, rs;
+  // Exact layout: row v lists the sources of v's in-arcs ascending, ties
+  // between parallel arcs broken by weight.
+  std::vector<std::vector<std::pair<VertexId, Weight>>> oracle(300);
   for (VertexId u = 0; u < 300; ++u) {
-    const auto row = fwd.neighbors(u);
-    const auto w = fwd.edge_weights(u);
-    for (std::size_t i = 0; i < row.size(); ++i) fs.insert({u, row[i], w[i]});
-    const auto rrow = rev.neighbors(u);
-    const auto rw = rev.edge_weights(u);
-    for (std::size_t i = 0; i < rrow.size(); ++i)
-      rs.insert({rrow[i], u, rw[i]});
+    for (const auto& [v, w] : row_pairs(fwd, u)) oracle[v].push_back({u, w});
   }
-  EXPECT_EQ(fs, rs);
+  for (VertexId v = 0; v < 300; ++v) {
+    std::sort(oracle[v].begin(), oracle[v].end());
+    ASSERT_EQ(row_pairs(rev, v), oracle[v]) << "row " << v;
+  }
 }
 
 TEST(Transpose, DoubleTransposeIsIdentity) {

@@ -1,5 +1,5 @@
 // Tests for the parallel primitives: parallel_for, reductions, scans, pack,
-// histograms, sorts, and the lock-free atomic operations. Parallel results
+// histograms, stable bucketing, and the lock-free atomic operations. Parallel results
 // are always checked against serial oracles, and key invariants (stability,
 // determinism across thread counts) are exercised with TEST_P sweeps.
 #include <gtest/gtest.h>
@@ -352,45 +352,70 @@ TEST(Histogram, EmptyInput) {
   EXPECT_EQ(counts, std::vector<std::uint64_t>(5, 0));
 }
 
-// -------------------------------------------------------------------- sorts
+// ------------------------------------------------------------ stable bucket
 
-class SortSweep : public ::testing::TestWithParam<std::size_t> {};
+/// Placed payloads and bucket offsets of one bucketing run.
+struct Bucketed {
+  std::vector<std::uint64_t> payloads;
+  std::vector<std::uint64_t> offsets;
+};
 
-TEST_P(SortSweep, ParallelSortMatchesStdSort) {
-  const std::size_t n = GetParam();
-  Xoshiro256 rng(n + 17);
-  std::vector<std::uint64_t> v(n);
-  for (auto& x : v) x = rng.next();
-  std::vector<std::uint64_t> expected = v;
-  std::sort(expected.begin(), expected.end());
-  gee::par::parallel_sort(v.begin(), v.end());
-  EXPECT_EQ(v, expected);
+/// stable_bucket over items whose entries `entries_of(i, out)` appends to
+/// out as (bucket, payload) pairs.
+template <class EntriesOf>
+Bucketed run_stable_bucket(std::size_t num_items, std::size_t num_buckets,
+                           EntriesOf&& entries_of) {
+  std::vector<std::pair<std::size_t, std::uint64_t>> all;
+  for (std::size_t i = 0; i < num_items; ++i) entries_of(i, all);
+  Bucketed got;
+  got.payloads.assign(all.size(), ~std::uint64_t{0});
+  got.offsets = gee::par::stable_bucket(
+      num_items, num_buckets,
+      [&](std::size_t lo, std::size_t hi, auto&& sink) {
+        std::vector<std::pair<std::size_t, std::uint64_t>> mine;
+        for (std::size_t i = lo; i < hi; ++i) entries_of(i, mine);
+        for (const auto& [bucket, payload] : mine) sink(bucket, payload);
+      },
+      [&](std::uint64_t slot, std::uint64_t payload) {
+        got.payloads[slot] = payload;
+      });
+  return got;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, SortSweep,
-                         ::testing::Values(0, 1, 2, 1000, 1 << 14, (1 << 16) + 7,
-                                           1 << 18));
-
-TEST(ParallelSort, CustomComparator) {
-  std::vector<int> v(100000);
-  Xoshiro256 rng(3);
-  for (auto& x : v) x = static_cast<int>(rng.next_below(1 << 20));
-  gee::par::parallel_sort(v.begin(), v.end(), std::greater<>{});
-  EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), std::greater<>{}));
+/// Serial oracle: the whole entry stream stably sorted by bucket.
+template <class EntriesOf>
+Bucketed serial_bucket(std::size_t num_items, std::size_t num_buckets,
+                       EntriesOf&& entries_of) {
+  std::vector<std::pair<std::size_t, std::uint64_t>> stream;
+  for (std::size_t i = 0; i < num_items; ++i) entries_of(i, stream);
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  Bucketed want;
+  want.offsets.assign(num_buckets + 1, 0);
+  for (const auto& [bucket, payload] : stream) {
+    want.payloads.push_back(payload);
+    ++want.offsets[bucket + 1];
+  }
+  std::partial_sum(want.offsets.begin(), want.offsets.end(),
+                   want.offsets.begin());
+  return want;
 }
 
-TEST(CountingSort, ProducesStableAscendingPermutation) {
+TEST(StableBucket, ProducesStableAscendingPermutation) {
   constexpr std::size_t kN = 1 << 16;
   constexpr std::size_t kBuckets = 97;
   std::vector<std::uint32_t> keys(kN);
   Xoshiro256 rng(21);
   for (auto& k : keys) k = static_cast<std::uint32_t>(rng.next_below(kBuckets));
 
-  const auto perm =
-      gee::par::counting_sort_permutation(kN, kBuckets, [&](std::size_t i) {
-        return keys[i];
-      });
+  const auto got = run_stable_bucket(kN, kBuckets, [&](std::size_t i, auto& out) {
+    out.emplace_back(keys[i], i);
+  });
+  const auto& perm = got.payloads;
   ASSERT_EQ(perm.size(), kN);
+  ASSERT_EQ(got.offsets.size(), kBuckets + 1);
+  EXPECT_EQ(got.offsets.front(), 0u);
+  EXPECT_EQ(got.offsets.back(), kN);
 
   // Permutation property: every input index appears exactly once.
   std::vector<char> seen(kN, 0);
@@ -399,39 +424,90 @@ TEST(CountingSort, ProducesStableAscendingPermutation) {
     ASSERT_EQ(seen[idx], 0);
     seen[idx] = 1;
   }
-  // Sortedness + stability: keys ascend, ties keep input order.
-  for (std::size_t j = 1; j < kN; ++j) {
-    ASSERT_LE(keys[perm[j - 1]], keys[perm[j]]);
-    if (keys[perm[j - 1]] == keys[perm[j]]) {
-      ASSERT_LT(perm[j - 1], perm[j]);
+  // Sortedness + stability: keys ascend, ties keep input order, and every
+  // index sits inside its key's bucket.
+  for (std::size_t j = 0; j < kN; ++j) {
+    const auto k = keys[perm[j]];
+    ASSERT_GE(j, got.offsets[k]);
+    ASSERT_LT(j, got.offsets[k + 1]);
+    if (j > 0) {
+      ASSERT_LE(keys[perm[j - 1]], k);
+      if (keys[perm[j - 1]] == k) {
+        ASSERT_LT(perm[j - 1], perm[j]);
+      }
     }
   }
 }
 
-TEST(CountingSort, DeterministicAcrossThreadCounts) {
+TEST(StableBucket, DeterministicAcrossThreadCounts) {
   constexpr std::size_t kN = 1 << 16;
   std::vector<std::uint32_t> keys(kN);
   Xoshiro256 rng(33);
   for (auto& k : keys) k = static_cast<std::uint32_t>(rng.next_below(64));
   auto run = [&] {
-    return gee::par::counting_sort_permutation(
-        kN, 64, [&](std::size_t i) { return keys[i]; });
+    return run_stable_bucket(kN, 64, [&](std::size_t i, auto& out) {
+      out.emplace_back(keys[i], i);
+    });
   };
-  std::vector<std::uint64_t> ref;
+  Bucketed ref;
   {
     ThreadScope scope(1);
     ref = run();
   }
   for (int t : {2, 8}) {
     ThreadScope scope(t);
-    ASSERT_EQ(run(), ref) << "threads=" << t;
+    const auto got = run();
+    ASSERT_EQ(got.payloads, ref.payloads) << "threads=" << t;
+    ASSERT_EQ(got.offsets, ref.offsets) << "threads=" << t;
   }
 }
 
-TEST(CountingSort, TinyInput) {
-  const auto perm = gee::par::counting_sort_permutation(
-      3, 2, [](std::size_t i) { return i == 1 ? 0u : 1u; });
-  EXPECT_EQ(perm, (std::vector<std::uint64_t>{1, 0, 2}));
+TEST(StableBucket, TinyInput) {
+  const auto got = run_stable_bucket(3, 2, [](std::size_t i, auto& out) {
+    out.emplace_back(i == 1 ? 0u : 1u, i);
+  });
+  EXPECT_EQ(got.payloads, (std::vector<std::uint64_t>{1, 0, 2}));
+  EXPECT_EQ(got.offsets, (std::vector<std::uint64_t>{0, 1, 3}));
+}
+
+TEST(StableBucket, ItemsEmitZeroOneOrTwoEntries) {
+  // Item i emits i % 3 entries, the second one to a different bucket:
+  // entries keep (bucket, item order, emit order) at every thread count.
+  constexpr std::size_t kN = 3 << 13;
+  constexpr std::size_t kBuckets = 37;
+  auto entries_of = [](std::size_t i, auto& out) {
+    const std::size_t key = gee::util::hash_combine(5, i) % kBuckets;
+    if (i % 3 >= 1) out.emplace_back(key, 2 * i);
+    if (i % 3 == 2) out.emplace_back((key * 7 + 1) % kBuckets, 2 * i + 1);
+  };
+  const auto want = serial_bucket(kN, kBuckets, entries_of);
+  ASSERT_EQ(want.payloads.size(), kN);  // 0 + 1 + 2 entries per 3 items
+  for (int t : {1, 2, 7}) {
+    ThreadScope scope(t);
+    const auto got = run_stable_bucket(kN, kBuckets, entries_of);
+    ASSERT_EQ(got.payloads, want.payloads) << "threads=" << t;
+    ASSERT_EQ(got.offsets, want.offsets) << "threads=" << t;
+  }
+}
+
+TEST(StableBucket, MoreBucketsThanItems) {
+  // Fewer than 4 items per bucket: the chunk cap leaves one chunk, and
+  // empty buckets get empty ranges.
+  constexpr std::size_t kN = 50;
+  constexpr std::size_t kBuckets = 1000;
+  auto entries_of = [](std::size_t i, auto& out) {
+    out.emplace_back(gee::util::hash_combine(9, i) % kBuckets, i);
+  };
+  const auto want = serial_bucket(kN, kBuckets, entries_of);
+  for (int t : {1, 8}) {
+    ThreadScope scope(t);
+    const auto got = run_stable_bucket(kN, kBuckets, entries_of);
+    ASSERT_EQ(got.payloads, want.payloads) << "threads=" << t;
+    ASSERT_EQ(got.offsets, want.offsets) << "threads=" << t;
+  }
+  const auto none = run_stable_bucket(0, kBuckets, entries_of);
+  EXPECT_TRUE(none.payloads.empty());
+  EXPECT_EQ(none.offsets, std::vector<std::uint64_t>(kBuckets + 1, 0));
 }
 
 }  // namespace

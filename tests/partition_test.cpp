@@ -3,7 +3,8 @@
 //
 //  * Partitioner invariants: boundaries cover the row space, blocks'
 //    entries land only in rows the block owns (the ownership invariant),
-//    entry counts match the update-side semantics, plans are cached on the
+//    each block holds exactly the serial entry stream filtered to its rows,
+//    in stream order, at every thread count, and plans are cached on the
 //    Graph and reused.
 //  * Backend contract: kPartitioned is BITWISE equal to kCompiledSerial
 //    (stable bucketing preserves every cell's accumulation order) on SBM /
@@ -13,6 +14,7 @@
 //    so do different block counts and thread counts.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "gee/gee.hpp"
@@ -20,6 +22,7 @@
 #include "gen/labels.hpp"
 #include "gen/rmat.hpp"
 #include "gen/sbm.hpp"
+#include "parallel/parallel_for.hpp"
 #include "partition/partitioner.hpp"
 #include "testing/random_graphs.hpp"
 #include "util/rng.hpp"
@@ -50,25 +53,81 @@ std::vector<gee::testutil::RandomGraph> test_graphs() {
 
 // ------------------------------------------------------------- partitioner
 
+/// One plan entry as (row, other, weight).
+using Entry = std::tuple<VertexId, VertexId, Weight>;
+
+/// Serial entry stream of build_plan(arcs, sides): per arc in storage
+/// order, the dest-side entry, then (kBoth) the source-side one.
+std::vector<Entry> serial_entries(const Csr& arcs, UpdateSides sides) {
+  std::vector<Entry> stream;
+  for (VertexId u = 0; u < arcs.num_vertices(); ++u) {
+    for (EdgeId e = arcs.offsets()[u]; e < arcs.offsets()[u + 1]; ++e) {
+      const VertexId v = arcs.targets()[e];
+      stream.emplace_back(v, u, arcs.weight_at(e));
+      if (sides == UpdateSides::kBoth) {
+        stream.emplace_back(u, v, arcs.weight_at(e));
+      }
+    }
+  }
+  return stream;
+}
+
+/// Serial entry stream of an edge-list plan: per edge, the source-side
+/// entry, then the dest-side one.
+std::vector<Entry> serial_entries(const EdgeList& edges) {
+  std::vector<Entry> stream;
+  for (EdgeId e = 0; e < edges.num_edges(); ++e) {
+    stream.emplace_back(edges.src(e), edges.dst(e), edges.weight(e));
+    stream.emplace_back(edges.dst(e), edges.src(e), edges.weight(e));
+  }
+  return stream;
+}
+
+/// Each block's entries are the serial stream filtered to its rows, in
+/// stream order.
+void expect_blocks_follow_stream(const EdgePartitionPlan& plan,
+                                 const std::vector<Entry>& stream) {
+  for (int p = 0; p < plan.num_blocks; ++p) {
+    const auto block = plan.block(p);
+    std::vector<Entry> want;
+    for (const Entry& e : stream) {
+      const VertexId row = std::get<0>(e);
+      if (row >= block.row_lo && row < block.row_hi) want.push_back(e);
+    }
+    std::vector<Entry> got;
+    for (std::size_t i = 0; i < block.rows.size(); ++i) {
+      got.emplace_back(block.rows[i], block.others[i],
+                       block.weights.empty() ? Weight{1} : block.weights[i]);
+    }
+    ASSERT_EQ(got, want) << "block " << p;
+  }
+}
+
 TEST(Partitioner, BoundariesCoverRowSpaceAndEntriesMatchSemantics) {
-  const auto el = gee::gen::rmat(9, 8, 5);
+  const auto el = with_random_weights(gee::gen::rmat(9, 8, 5), 3);
   const Graph g = Graph::build(el, GraphKind::kUndirected);
   for (const UpdateSides sides :
        {UpdateSides::kDestOnly, UpdateSides::kBoth}) {
-    for (const int blocks : {1, 3, 8, 64}) {
-      const auto plan = gee::partition::build_plan(g.out(), sides, blocks);
-      ASSERT_EQ(plan.num_blocks, blocks);
-      ASSERT_EQ(plan.row_starts.size(), static_cast<std::size_t>(blocks) + 1);
-      EXPECT_EQ(plan.row_starts.front(), 0u);
-      EXPECT_EQ(plan.row_starts.back(), g.num_vertices());
-      for (int p = 0; p < blocks; ++p) {
-        EXPECT_LE(plan.row_starts[p], plan.row_starts[p + 1]);
-        EXPECT_LE(plan.entry_offsets[p], plan.entry_offsets[p + 1]);
+    const auto stream = serial_entries(g.out(), sides);
+    for (const int threads : {1, 2, 7}) {
+      gee::par::ThreadScope scope(threads);
+      for (const int blocks : {1, 3, 8, 64}) {
+        const auto plan = gee::partition::build_plan(g.out(), sides, blocks);
+        ASSERT_EQ(plan.num_blocks, blocks);
+        ASSERT_EQ(plan.row_starts.size(),
+                  static_cast<std::size_t>(blocks) + 1);
+        EXPECT_EQ(plan.row_starts.front(), 0u);
+        EXPECT_EQ(plan.row_starts.back(), g.num_vertices());
+        for (int p = 0; p < blocks; ++p) {
+          EXPECT_LE(plan.row_starts[p], plan.row_starts[p + 1]);
+          EXPECT_LE(plan.entry_offsets[p], plan.entry_offsets[p + 1]);
+        }
+        const EdgeId expected = sides == UpdateSides::kBoth
+                                    ? 2 * g.num_arcs()
+                                    : g.num_arcs();
+        EXPECT_EQ(plan.num_entries(), expected);
+        expect_blocks_follow_stream(plan, stream);
       }
-      const EdgeId expected = sides == UpdateSides::kBoth
-                                  ? 2 * g.num_arcs()
-                                  : g.num_arcs();
-      EXPECT_EQ(plan.num_entries(), expected);
     }
   }
 }
@@ -131,64 +190,31 @@ TEST(Partitioner, PlanIsCachedOnTheGraph) {
   EXPECT_EQ(a.get(), d.get());
 }
 
-// Regression: cached partition plans must not survive graph mutation. A
-// plan built before Graph::rebuild described the OLD adjacency; the
-// mutation hook detaches the graph from its AuxCache so the next lookup
-// partitions the new arcs, while pre-mutation copies keep the old
-// (cache, CSR) pairing.
-TEST(Partitioner, GraphMutationInvalidatesCachedPlans) {
-  const auto el = gee::gen::erdos_renyi_gnm(200, 2000, 31);
-  Graph g = Graph::build(el, GraphKind::kUndirected);
-  const Graph copy = g;  // shares cache AND adjacency pre-mutation
-  const auto stale = gee::partition::plan_for(g, UpdateSides::kDestOnly, 4);
-  EXPECT_EQ(g.generation(), 0u);
-
-  const auto smaller = gee::gen::erdos_renyi_gnm(200, 500, 37);
-  g.rebuild(smaller, GraphKind::kUndirected);
-  EXPECT_EQ(g.generation(), 1u);
-
-  const auto fresh = gee::partition::plan_for(g, UpdateSides::kDestOnly, 4);
-  EXPECT_NE(stale.get(), fresh.get())
-      << "plan cached on the pre-mutation adjacency leaked through rebuild";
-  EXPECT_EQ(fresh->num_entries(), g.num_arcs());
-  EXPECT_EQ(stale->num_entries(), copy.num_arcs());
-
-  // The pre-mutation copy still pairs the old adjacency with the old plan.
-  EXPECT_NE(copy.num_arcs(), g.num_arcs());
-  EXPECT_EQ(copy.generation(), 0u);
-  const auto held =
-      gee::partition::plan_for(copy, UpdateSides::kDestOnly, 4);
-  EXPECT_EQ(held.get(), stale.get());
-
-  // Embedding through the partitioned backend after mutation matches the
-  // serial reference on the NEW adjacency (the end-to-end staleness bug).
-  const auto labels = gee::gen::semi_supervised_labels(200, 4, 0.5, 41);
-  const auto serial =
-      embed(g, labels, {.backend = Backend::kCompiledSerial});
-  const auto partitioned =
-      embed(g, labels, {.backend = Backend::kPartitioned});
-  EXPECT_EQ(max_abs_diff(partitioned.z, serial.z), 0.0);
-}
-
 // ------------------------------------------------------ sparse delta plans
 
 TEST(Partitioner, DeltaPlanMatchesDensePlanSemantics) {
   const auto el = with_random_weights(
       gee::gen::erdos_renyi_gnm(300, 4000, 43), 47);
-  for (const int blocks : {1, 3, 8}) {
-    const auto dense = gee::partition::build_plan(el, blocks);
-    const auto sparse = gee::partition::build_delta_plan(el, blocks);
-    EXPECT_EQ(sparse.num_blocks, blocks);
-    EXPECT_EQ(sparse.num_entries(), dense.num_entries());
-    EXPECT_EQ(sparse.num_vertices(), el.num_vertices());
+  const auto stream = serial_entries(el);
+  for (const int threads : {1, 2, 7}) {
+    gee::par::ThreadScope scope(threads);
+    for (const int blocks : {1, 3, 8}) {
+      const auto dense = gee::partition::build_plan(el, blocks);
+      const auto sparse = gee::partition::build_delta_plan(el, blocks);
+      EXPECT_EQ(sparse.num_blocks, blocks);
+      EXPECT_EQ(sparse.num_entries(), dense.num_entries());
+      EXPECT_EQ(sparse.num_vertices(), el.num_vertices());
 
-    // Ownership invariant: every entry's row inside its block's range.
-    for (int p = 0; p < blocks; ++p) {
-      const auto block = sparse.block(p);
-      for (const VertexId row : block.rows) {
-        EXPECT_GE(row, block.row_lo);
-        EXPECT_LT(row, block.row_hi);
+      // Ownership invariant: every entry's row inside its block's range.
+      for (int p = 0; p < blocks; ++p) {
+        const auto block = sparse.block(p);
+        for (const VertexId row : block.rows) {
+          EXPECT_GE(row, block.row_lo);
+          EXPECT_LT(row, block.row_hi);
+        }
       }
+      expect_blocks_follow_stream(dense, stream);
+      expect_blocks_follow_stream(sparse, stream);
     }
   }
 }

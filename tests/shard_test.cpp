@@ -144,14 +144,22 @@ TEST(AdmissionQueue, RunsAdmittedTasksExactlyOnceAndDrains) {
 
 TEST(AdmissionQueue, ShedsBeyondCapacityWithRetryAfter) {
   AdmissionQueue q("gee.test.lane_shed", {.capacity = 2, .workers = 1});
-  // Block the worker so queued entries cannot drain under us.
+  // Block the worker so queued entries cannot drain under us. Capacity
+  // counts queued tasks only, so wait until the worker has dequeued the
+  // blocker before filling: otherwise a late dequeue frees a slot after
+  // the fill loop stops and the "at budget" submit below is admitted.
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
-  ASSERT_TRUE(q.try_submit([gate] { gate.wait(); }));
-  // The blocker may or may not have been dequeued yet; fill to the budget.
+  std::promise<void> started;
+  std::future<void> running = started.get_future();
+  ASSERT_TRUE(q.try_submit([gate, &started] {
+    started.set_value();
+    gate.wait();
+  }));
+  running.wait();
   int admitted = 1;
   while (q.try_submit([gate] { gate.wait(); })) ++admitted;
-  EXPECT_LE(admitted, 4);  // capacity + in-flight, with scheduling slack
+  EXPECT_EQ(admitted, 3);  // capacity 2 plus the in-flight blocker
   EXPECT_FALSE(q.try_submit([] {}));  // at budget: shed
   EXPECT_GE(q.retry_after_seconds(), 100e-6);  // floor even before any EMA
   release.set_value();
