@@ -48,8 +48,9 @@ void pass_serial_csr(const graph::Csr& arcs, ArcSemantics semantics,
 /// (Backend::kCompiledSerial, EdgeList input; Algorithm 1 verbatim).
 void pass_serial_edges(const graph::EdgeList& edges, const PassContext& ctx);
 
-/// Ligra-style dense-forward edgeMap over the full frontier
-/// (Backend::kLigraParallel / kLigraSerial / kParallelUnsafe).
+/// Ligra-style edgeMap (Backend::kLigraParallel / kLigraSerial /
+/// kParallelUnsafe): sparse push over the labelled vertices under
+/// kDestOnly, dense-forward over all of V under kBoth.
 void pass_engine(const graph::Graph& g, ArcSemantics semantics,
                  Atomicity atomicity, const PassContext& ctx);
 

@@ -1,10 +1,12 @@
 // Embedding: the n x K output matrix Z of GEE.
 //
-// Row-major, cache-line aligned, zero-filled in parallel (first-touch --
-// at paper scale Z is gigabytes and a serial memset both costs seconds and
-// pins every page to one NUMA node). Row v is the K-dimensional embedding
-// of vertex v; with semi-supervised labels most mass lands in the columns
-// of classes adjacent to v.
+// Row-major, cache-line aligned, and zeroed in parallel (first-touch -- at
+// paper scale Z is gigabytes and a serial memset both costs seconds and
+// pins every page to one NUMA node). A Z of 32 MiB or more is fresh zero
+// pages from the kernel, pre-faulted rather than written
+// (util::UninitBuffer::zeroed). Row v is the K-dimensional embedding of
+// vertex v; with semi-supervised labels most mass lands in the columns of
+// classes adjacent to v.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +24,7 @@ class Embedding {
  public:
   Embedding() = default;
 
-  /// Allocate n x k and zero-fill in parallel.
+  /// Allocate n x k zeros (UninitBuffer::zeroed: parallel first touch).
   Embedding(VertexId n, int k);
 
   [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }

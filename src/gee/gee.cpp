@@ -70,18 +70,21 @@ struct Prepared {
 
 Prepared prepare(VertexId n, std::span<const std::int32_t> labels,
                  const Options& options) {
-  GEE_TRACE_SPAN("gee.embed.projection");
   if (labels.size() < n) {
     throw std::invalid_argument("embed: labels shorter than vertex count");
   }
   gee::util::Timer timer;
   Prepared p;
+  gee::obs::TraceSpan projection_span("gee.embed.projection");
   p.projection = build_projection(labels.first(n), options.num_classes);
   if (p.projection.num_classes == 0) {
     throw std::invalid_argument("embed: no labeled vertices and no K given");
   }
+  projection_span.end();
   p.timings.projection = timer.restart();
+  GEE_TRACE_SPAN("gee.embed.z_init");
   p.z = Embedding(n, p.projection.num_classes);
+  p.timings.z_init = timer.seconds();
   return p;
 }
 
@@ -94,6 +97,7 @@ void record_embed_metrics(Backend backend, const Timings& t,
   static auto& calls = obs::counter("gee.embed.calls");
   static auto& arc_count = obs::counter("gee.embed.arcs");
   static auto& projection_s = obs::histogram("gee.embed.projection_seconds");
+  static auto& z_init_s = obs::histogram("gee.embed.z_init_seconds");
   static auto& postprocess_s = obs::histogram("gee.embed.postprocess_seconds");
   static auto& total_s = obs::histogram("gee.embed.total_seconds");
   static const auto edge_pass_s = [] {
@@ -107,6 +111,7 @@ void record_embed_metrics(Backend backend, const Timings& t,
   calls.add();
   arc_count.add(static_cast<std::int64_t>(arcs));
   projection_s.record(t.projection);
+  z_init_s.record(t.z_init);
   postprocess_s.record(t.postprocess);
   total_s.record(t.total);
   edge_pass_s[static_cast<std::size_t>(backend)]->record(t.edge_pass);

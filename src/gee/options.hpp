@@ -22,8 +22,9 @@ enum class Backend : std::uint8_t {
   /// The engine code path of kLigraParallel pinned to one thread
   /// (the paper's "GEE-Ligra Serial" column).
   kLigraSerial,
-  /// Ligra-style dense-forward edgeMap with lock-free atomic writeAdd --
-  /// the paper's contribution (Algorithm 2).
+  /// Ligra-style edgeMap with lock-free atomic writeAdd -- the paper's
+  /// contribution (Algorithm 2). Undirected graphs push from the labelled
+  /// vertices only; directed graphs walk every row (DESIGN.md section 2).
   kLigraParallel,
   /// kLigraParallel with atomics replaced by racy load/add/store; the
   /// paper's "atomics off" experiment (section IV). Results may drop
@@ -161,6 +162,7 @@ struct Options {
 /// Wall-clock breakdown of an embed() call (seconds).
 struct Timings {
   double projection = 0;   ///< W construction (Algorithm 2 lines 2-6)
+  double z_init = 0;       ///< allocating the zeroed n x K matrix Z
   double edge_pass = 0;    ///< the O(s) loop / edgeMap (lines 7 / line 7)
   double postprocess = 0;  ///< diag augmentation + row normalization
   double graph_build = 0;  ///< derived-structure construction: the CSR when

@@ -41,10 +41,11 @@ struct Projection {
 Projection build_projection(std::span<const std::int32_t> labels,
                             int num_classes = 0);
 
-/// Materialize the dense n x K matrix (row-major), zero-filled and scattered
-/// in parallel (Algorithm 2 lines 3-6). Used by the interpreted backend for
-/// fidelity to Algorithm 1 and by the A2 ablation bench (run it under
-/// par::ThreadScope(1) for the serial baseline).
+/// Materialize the dense n x K matrix (row-major), zeroed
+/// (UninitBuffer::zeroed) and scattered in parallel (Algorithm 2 lines
+/// 3-6). Used by the interpreted backend for fidelity to Algorithm 1 and by
+/// the A2 ablation bench (run it under par::ThreadScope(1) for the serial
+/// baseline).
 gee::util::UninitBuffer<Real> build_dense_w(
     const Projection& projection, std::span<const std::int32_t> labels);
 

@@ -5,17 +5,19 @@
 // returns the subset of target vertices for which F requested activation.
 // Three traversal modes:
 //
-//  * kSparse        -- iterate the frontier's out-edge lists; output built
-//                      by atomic flag dedup + pack. Chosen for small
-//                      frontiers.
+//  * kSparse        -- "push" over the member list: one worker walks each
+//                      member's out-edges; F::update_atomic resolves
+//                      write-write races; output built by atomic flag
+//                      dedup + pack. Chosen for small frontiers.
 //  * kDense         -- "pull": for every vertex v with cond(v), scan v's
 //                      in-edges for frontier members; F::update runs
 //                      non-atomically because one worker owns each v, and
 //                      the scan can exit early once cond(v) flips.
-//  * kDenseForward  -- "push": scan out-edges of every frontier member;
-//                      F::update_atomic resolves write-write races. This is
-//                      the mode the paper describes for GEE ("schedules one
-//                      worker for the edge list of each node", section III).
+//  * kDenseForward  -- "push" over all of V: scan out-edges of every
+//                      vertex whose frontier flag is set.
+//
+// Both push modes are the schedule the paper describes for GEE ("schedules
+// one worker for the edge list of each node", section III).
 //
 // kAuto applies Ligra's |frontier| + out-degree(frontier) > m/20 heuristic.
 //
@@ -23,7 +25,14 @@
 //   bool update(u, v, w)         non-atomic variant (dense pull)
 //   bool update_atomic(u, v, w)  thread-safe variant (push modes)
 //   bool cond(v)                 should v still receive updates?
-// Return true from update* to add v to the output frontier.
+// Return true from update* to add v to the output frontier. Optionally:
+//   void prefetch(u, v)          hint the memory update_atomic(u, v, .)
+//                                will write; kSparse calls it
+//                                kPrefetchArcs arcs ahead.
+//
+// GEE's edge pass (gee/backends/engine.cpp, the only caller) runs kSparse
+// over the labelled vertices for undirected graphs and kDenseForward over
+// all of V for directed ones (DESIGN.md section 2).
 #pragma once
 
 #include <concepts>
@@ -35,7 +44,6 @@
 #include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
-#include "parallel/scan.hpp"
 
 namespace gee::ligra {
 
@@ -69,6 +77,9 @@ struct EdgeMapStats {
   EdgeId frontier_degree = 0;
 };
 
+/// How far ahead of the arc being applied kSparse calls F::prefetch.
+inline constexpr std::size_t kPrefetchArcs = 16;
+
 namespace detail {
 
 /// Sum of out-degrees over the frontier.
@@ -91,13 +102,6 @@ VertexSubset edge_map_sparse(const Csr& out, const VertexSubset& frontier,
   const auto members = frontier.sparse_members();
   const VertexId n = frontier.universe();
 
-  // Offsets of each member's out-edges in the output scratch.
-  std::vector<EdgeId> offsets(members.size());
-  gee::par::parallel_for(std::size_t{0}, members.size(), [&](std::size_t i) {
-    offsets[i] = out.degree(members[i]);
-  });
-  gee::par::scan_exclusive(offsets.data(), offsets.data(), offsets.size());
-
   std::vector<std::uint8_t> out_flags;
   if (produce_output) out_flags.assign(n, 0);
 
@@ -108,6 +112,13 @@ VertexSubset edge_map_sparse(const Csr& out, const VertexSubset& frontier,
         const auto neigh = out.neighbors(u);
         const auto w = out.edge_weights(u);
         for (std::size_t j = 0; j < neigh.size(); ++j) {
+          // A row's targets are scattered, so no hardware prefetcher
+          // predicts the writes; the functor names them ahead of time.
+          if constexpr (requires { f.prefetch(u, u); }) {
+            if (j + kPrefetchArcs < neigh.size()) {
+              f.prefetch(u, neigh[j + kPrefetchArcs]);
+            }
+          }
           const VertexId v = neigh[j];
           const Weight wt = w.empty() ? Weight{1} : w[j];
           if (f.cond(v) && f.update_atomic(u, v, wt)) {

@@ -28,7 +28,11 @@ VertexSubset VertexSubset::from_sparse(VertexId n,
                                        std::vector<VertexId> members) {
   VertexSubset s(n, static_cast<VertexId>(members.size()), /*dense=*/false);
   s.sparse_ = std::move(members);
-  std::sort(s.sparse_.begin(), s.sparse_.end());
+  // A packed frontier arrives sorted: one linear check spares it the
+  // O(n log n) sort.
+  if (!std::is_sorted(s.sparse_.begin(), s.sparse_.end())) {
+    std::sort(s.sparse_.begin(), s.sparse_.end());
+  }
   assert(std::adjacent_find(s.sparse_.begin(), s.sparse_.end()) ==
          s.sparse_.end());
   assert(s.sparse_.empty() || s.sparse_.back() < n);

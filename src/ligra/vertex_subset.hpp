@@ -3,8 +3,9 @@
 // A subset of [0, n) stored either sparsely (vector of member ids) or
 // densely (byte flags). edgeMap converts between representations based on
 // frontier size -- the core idea of Shun & Blelloch's direction-optimizing
-// engine [14]. GEE's frontier is the entire vertex set ("frontier=n" in
-// Algorithm 2), which is why its edge pass always runs in a dense mode.
+// engine [14]. Algorithm 2 sets the frontier to all of V; GEE's edge pass
+// narrows it to the labelled vertices when only sources contribute
+// (kDestOnly, a sparse frontier) and keeps all of V otherwise (kBoth).
 #pragma once
 
 #include <cassert>
@@ -23,7 +24,7 @@ class VertexSubset {
  public:
   /// Empty subset over universe [0, n).
   static VertexSubset empty(VertexId n);
-  /// The full vertex set (GEE's frontier). Dense, all flags set.
+  /// The full vertex set (GEE's kBoth frontier). Dense, all flags set.
   static VertexSubset all(VertexId n);
   /// Singleton {v} (e.g. a BFS root). Sparse.
   static VertexSubset single(VertexId n, VertexId v);

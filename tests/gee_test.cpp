@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "gee/gee.hpp"
@@ -135,6 +136,19 @@ TEST(Gee, HandComputedWeightedDirected) {
   EXPECT_DOUBLE_EQ(result.z.at(1, 0), 0.0);
 }
 
+/// Thread counts a backend runs at in the graph-path sweeps below:
+/// kParallelUnsafe may drop updates above one thread, so it runs at one
+/// (backend_conformance_test's expectation() table excludes it there too).
+std::vector<int> sweep_threads(Backend backend) {
+  if (backend == Backend::kParallelUnsafe) return {1};
+  return {1, 4};
+}
+
+std::string sweep_name(GraphKind kind, Backend backend, int threads) {
+  return std::string(kind == GraphKind::kDirected ? "directed" : "undirected") +
+         " / " + to_string(backend) + " / threads=" + std::to_string(threads);
+}
+
 TEST(Gee, UnlabeledVerticesContributeNothing) {
   // Y(1) = -1: edge (0,1) must add nothing to Z(0,:), but Z(1, Y(0)) still
   // accumulates (unlabeled vertices are embedded, they just donate no mass).
@@ -145,6 +159,77 @@ TEST(Gee, UnlabeledVerticesContributeNothing) {
   ASSERT_EQ(result.z.dim(), 1);
   EXPECT_DOUBLE_EQ(result.z.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(result.z.at(1, 0), 1.0);
+
+  // The graph path, where the engine backends walk only the labelled rows
+  // of an undirected graph and every row of a directed one.
+  for (const GraphKind kind : {GraphKind::kUndirected, GraphKind::kDirected}) {
+    const Graph g = Graph::build(el, kind);
+    for (const Backend backend : kAllBackends) {
+      for (const int threads : sweep_threads(backend)) {
+        SCOPED_TRACE(sweep_name(kind, backend, threads));
+        const auto got =
+            embed(g, y, {.backend = backend, .num_threads = threads});
+        ASSERT_EQ(got.z.dim(), 1);
+        EXPECT_DOUBLE_EQ(got.z.at(0, 0), 0.0);
+        EXPECT_DOUBLE_EQ(got.z.at(1, 0), 1.0);
+      }
+    }
+  }
+}
+
+TEST(Gee, MostlyUnlabeledGraphMatchesSerialInItsClass) {
+  // 10% labels: the labelled frontier skips nine rows in ten. The classes
+  // are backend_conformance_test's: bitwise at one thread (every backend
+  // commits each cell's adds in row order), within 1e-10 at four (atomic
+  // interleavings only reassociate). That table covers undirected graphs;
+  // on a directed one kParallelPull runs line 10 and line 11 as two
+  // passes, which reorders a cell's adds even at one thread.
+  const auto el = random_edges(400, 6000, 61, /*weighted=*/true);
+  const auto y = gee::gen::semi_supervised_labels(400, 6, 0.1, 8);
+  for (const GraphKind kind : {GraphKind::kUndirected, GraphKind::kDirected}) {
+    const Graph g = Graph::build(el, kind);
+    const auto ref = embed(g, y, {.backend = Backend::kCompiledSerial});
+    for (const Backend backend : kAllBackends) {
+      for (const int threads : sweep_threads(backend)) {
+        SCOPED_TRACE(sweep_name(kind, backend, threads));
+        const auto got =
+            embed(g, y, {.backend = backend, .num_threads = threads});
+        const double diff = max_abs_diff(got.z, ref.z);
+        const bool split_pull = kind == GraphKind::kDirected &&
+                                backend == Backend::kParallelPull;
+        if (threads == 1 && !split_pull) {
+          EXPECT_EQ(diff, 0.0);
+        } else {
+          EXPECT_LT(diff, 1e-10);
+        }
+      }
+    }
+  }
+}
+
+TEST(Gee, AllUnlabeledGraphEmbedsToZero) {
+  // No vertex is labelled, so the engine's frontier is empty: every
+  // backend must return an all-zero K-column Z without throwing.
+  const auto el = random_edges(200, 2000, 67);
+  const std::vector<std::int32_t> y(200, -1);
+  for (const GraphKind kind : {GraphKind::kUndirected, GraphKind::kDirected}) {
+    const Graph g = Graph::build(el, kind);
+    for (const Backend backend : kAllBackends) {
+      for (const int threads : sweep_threads(backend)) {
+        SCOPED_TRACE(sweep_name(kind, backend, threads));
+        Result got;
+        ASSERT_NO_THROW(got = embed(g, y,
+                                    {.backend = backend,
+                                     .num_classes = 3,
+                                     .num_threads = threads}));
+        ASSERT_EQ(got.z.dim(), 3);
+        ASSERT_EQ(got.z.num_vertices(), 200u);
+        for (std::size_t i = 0; i < got.z.size(); ++i) {
+          ASSERT_EQ(got.z.data()[i], 0.0) << "cell " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Gee, SelfLoopFiresBothLines) {
@@ -549,11 +634,30 @@ TEST(Embedding, BasicAccessorsAndNormalize) {
 TEST(Gee, TimingsPopulated) {
   const auto el = random_edges(200, 5000, 41);
   const auto y = gee::gen::semi_supervised_labels(200, 5, 0.2, 1);
-  const auto result = embed_edges(el, y, {.backend = Backend::kLigraParallel});
-  EXPECT_GT(result.timings.total, 0.0);
-  EXPECT_GT(result.timings.edge_pass, 0.0);
-  EXPECT_GT(result.timings.graph_build, 0.0);  // engine path built a graph
-  EXPECT_EQ(result.backend, Backend::kLigraParallel);
+  const Graph g = Graph::build(el, GraphKind::kUndirected);
+  const auto check = [](const Timings& t) {
+    EXPECT_GT(t.total, 0.0);
+    EXPECT_GT(t.z_init, 0.0);
+    EXPECT_GT(t.edge_pass, 0.0);
+    // The phases are disjoint intervals inside the call.
+    EXPECT_LE(t.projection + t.z_init + t.graph_build + t.edge_pass +
+                  t.postprocess,
+              t.total);
+  };
+  {
+    SCOPED_TRACE("embed_edges");
+    const auto result =
+        embed_edges(el, y, {.backend = Backend::kLigraParallel});
+    check(result.timings);
+    EXPECT_GT(result.timings.graph_build, 0.0);  // engine path built a graph
+    EXPECT_EQ(result.backend, Backend::kLigraParallel);
+  }
+  {
+    SCOPED_TRACE("embed");
+    const auto result = embed(g, y, {.backend = Backend::kLigraParallel});
+    check(result.timings);
+    EXPECT_EQ(result.backend, Backend::kLigraParallel);
+  }
 }
 
 TEST(Gee, ResultRowsLiveInClassSimplexScaledSpace) {

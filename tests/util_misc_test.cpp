@@ -1,11 +1,16 @@
 // Tests for util/table.hpp, util/cli.hpp, util/env.hpp, util/buffer.hpp.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
+#include "gee/embedding.hpp"
+#include "parallel/parallel_for.hpp"
 #include "util/buffer.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"
@@ -13,6 +18,7 @@
 
 namespace {
 
+using gee::core::Embedding;
 using gee::util::ArgParser;
 using gee::util::TextTable;
 using gee::util::UninitBuffer;
@@ -349,6 +355,97 @@ TEST(UninitBuffer, SpanCoversBuffer) {
   auto s = b.span();
   EXPECT_EQ(s.size(), 5u);
   EXPECT_EQ(s.data(), b.data());
+}
+
+// zeroed(): 2^17 x 40 doubles (40 MiB) takes the mapped path, 2^17 x 20
+// (20 MiB) and small blocks the allocate-and-fill path.
+constexpr gee::graph::VertexId kRows = 1u << 17;
+constexpr std::size_t kMappedDoubles = std::size_t{kRows} * 40;
+constexpr std::size_t kFilledDoubles = std::size_t{kRows} * 20;
+static_assert(kMappedDoubles * sizeof(double) >= gee::util::kMapThresholdBytes);
+static_assert(kFilledDoubles * sizeof(double) < gee::util::kMapThresholdBytes);
+
+template <class T>
+std::size_t count_nonzero(const T* data, std::size_t n) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) bad += data[i] != T{} ? 1 : 0;
+  return bad;
+}
+
+/// Whether the page holding `p` is mapped (mincore fails with ENOMEM on
+/// an unmapped range).
+bool page_mapped(const void* p) {
+  unsigned char resident = 0;
+  return ::mincore(const_cast<void*>(p), 1, &resident) == 0;
+}
+
+TEST(UninitBuffer, ZeroedReadsZeroOnBothPaths) {
+  for (const int threads : {1, 4}) {
+    gee::par::ThreadScope scope(threads);
+    for (const std::size_t n : {kMappedDoubles, kFilledDoubles}) {
+      SCOPED_TRACE(std::to_string(n) + " doubles, threads=" +
+                   std::to_string(threads));
+      const auto b = UninitBuffer<double>::zeroed(n);
+      ASSERT_EQ(b.size(), n);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) %
+                    gee::util::kCacheLineBytes,
+                0u);
+      EXPECT_EQ(count_nonzero(b.data(), n), 0u);
+    }
+    // A small block most likely reuses the heap chunk just dirtied.
+    {
+      UninitBuffer<double> dirty(1000);
+      for (double& x : dirty) x = 1.0;
+    }
+    const auto small = UninitBuffer<double>::zeroed(1000);
+    EXPECT_EQ(count_nonzero(small.data(), small.size()), 0u);
+  }
+}
+
+TEST(UninitBuffer, MappedBlockIsReleasedExactlyOnce) {
+  auto a = UninitBuffer<double>::zeroed(kMappedDoubles);
+  const double* p = a.data();
+  ASSERT_TRUE(page_mapped(p));
+
+  UninitBuffer<double> b(std::move(a));
+  EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move): spec check
+  EXPECT_EQ(b.data(), p);
+  { UninitBuffer<double> dead(std::move(a)); }  // owns nothing, frees nothing
+  EXPECT_TRUE(page_mapped(p));
+  b[kMappedDoubles - 1] = 2.0;
+  EXPECT_EQ(b[kMappedDoubles - 1], 2.0);
+
+  UninitBuffer<double> c;
+  c = std::move(b);
+  EXPECT_EQ(c.data(), p);
+  EXPECT_TRUE(page_mapped(p));
+
+  c.reset(4);  // unmaps the block, then allocates from the heap
+  EXPECT_FALSE(page_mapped(p));
+  EXPECT_EQ(c.size(), 4u);
+}
+
+TEST(Embedding, MoveAssignedOverDirtyReadsZero) {
+  for (const int threads : {1, 4}) {
+    gee::par::ThreadScope scope(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Embedding z(kRows, 40);
+    ASSERT_EQ(z.size(), kMappedDoubles);
+    std::fill(z.data(), z.data() + z.size(), 1.0);
+    z = Embedding(kRows, 40);
+    EXPECT_EQ(count_nonzero(z.data(), z.size()), 0u);
+  }
+}
+
+TEST(Embedding, ClearRezeroesDirtyLargeEmbedding) {
+  for (const int threads : {1, 4}) {
+    gee::par::ThreadScope scope(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Embedding z(kRows, 40);
+    std::fill(z.data(), z.data() + z.size(), -3.5);
+    z.clear();
+    EXPECT_EQ(count_nonzero(z.data(), z.size()), 0u);
+  }
 }
 
 }  // namespace
