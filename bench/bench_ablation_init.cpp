@@ -46,7 +46,8 @@ int main() {
     }
     for (int r = 0; r < bench::repeats(); ++r) {
       gee::util::Timer timer;
-      const auto dense = gee::core::build_dense_w(projection, labels);
+      const auto dense = gee::core::build_dense_w(
+          projection.vertex_weight, projection.num_classes, labels);
       dense_time = std::min(dense_time, timer.seconds());
     }
 

@@ -154,7 +154,8 @@ void BM_ProjectionDense(benchmark::State& state) {
   const auto labels = gee::gen::semi_supervised_labels(n, 50, 0.10, 3);
   const auto projection = gee::core::build_projection(labels);
   for (auto _ : state) {
-    auto w = gee::core::build_dense_w(projection, labels);
+    auto w = gee::core::build_dense_w(projection.vertex_weight,
+                                      projection.num_classes, labels);
     benchmark::DoNotOptimize(w.data());
   }
   state.SetItemsProcessed(state.iterations() * n * 50);

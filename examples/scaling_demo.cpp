@@ -26,17 +26,17 @@ int main(int argc, char** argv) {
   args.add_option("seed", "random seed", "1");
   args.add_option("backend",
                   "sweep only this backend (one of: " +
-                      gee::util::backend_choices() + ")");
+                      gee::core::backend_choices() + ")");
   args.add_flag("skip-interpreted", "skip the slow interpreted baseline");
   if (!args.parse(argc, argv)) return 1;
 
   std::optional<gee::core::Backend> only;
   if (args.has("backend")) {
-    only = gee::util::parse_backend(args.get("backend"));
+    only = gee::core::parse_backend(args.get("backend"));
     if (!only) {
       std::fprintf(stderr, "unknown backend '%s' (choices: %s)\n",
                    args.get("backend").c_str(),
-                   gee::util::backend_choices().c_str());
+                   gee::core::backend_choices().c_str());
       return 1;
     }
   }

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   args.add_option("seed", "random seed", "3");
   args.add_option("strategy",
                   "DynamicGee update strategy for --replay (" +
-                      gee::util::update_strategy_choices() + ")",
+                      gee::core::update_strategy_choices() + ")",
                   "delta");
   args.add_option("replay",
                   "stream the edge list through DynamicGee in this many "
@@ -112,11 +112,11 @@ int main(int argc, char** argv) {
   // linearity, different accumulation order, so the error is pure
   // floating-point reassociation (expect ~1e-12 at karate scale).
   if (const auto num_batches = args.get_int("replay"); num_batches > 0) {
-    const auto strategy = gee::util::parse_update_strategy(args.get("strategy"));
+    const auto strategy = gee::core::parse_update_strategy(args.get("strategy"));
     if (!strategy) {
       std::fprintf(stderr, "unknown --strategy '%s' (choices: %s)\n",
                    args.get("strategy").c_str(),
-                   gee::util::update_strategy_choices().c_str());
+                   gee::core::update_strategy_choices().c_str());
       return 1;
     }
     gee::core::Options stream_options;

@@ -20,16 +20,18 @@ void Embedding::clear() {
 }
 
 void normalize_rows(Embedding& z) {
+  gee::par::parallel_for(VertexId{0}, z.num_vertices(), [&](VertexId v) {
+    normalize_row(z.row(v));
+  }, /*grain=*/256);
+}
+
+void normalize_row(std::span<Real> row) {
   // simd::sum_squares is a reassociating reduction (ulp class) but every
   // backend normalizes through this one function, so cross-backend
   // equality classes are unaffected; simd::scale is elementwise-exact.
-  const auto k = static_cast<std::size_t>(z.dim());
-  gee::par::parallel_for(VertexId{0}, z.num_vertices(), [&](VertexId v) {
-    Real* row = z.row(v).data();
-    const Real sq = simd::sum_squares(row, k);
-    if (sq == 0) return;
-    simd::scale(row, k, Real{1} / std::sqrt(sq));
-  }, /*grain=*/256);
+  const Real sq = simd::sum_squares(row.data(), row.size());
+  if (sq == 0) return;
+  simd::scale(row.data(), row.size(), Real{1} / std::sqrt(sq));
 }
 
 Real max_abs_diff(const Embedding& a, const Embedding& b) {

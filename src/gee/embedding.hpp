@@ -63,6 +63,9 @@ class Embedding {
 /// L2-normalize every nonzero row in place (the Correlation option).
 void normalize_rows(Embedding& z);
 
+/// normalize_rows on one K-length row.
+void normalize_row(std::span<Real> row);
+
 /// max_{v,c} |a - b|; infinity if shapes differ. Test/diagnostic helper.
 Real max_abs_diff(const Embedding& a, const Embedding& b);
 

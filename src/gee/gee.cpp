@@ -8,6 +8,7 @@
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 #include "partition/partitioner.hpp"
+#include "simd/simd.hpp"
 #include "util/timer.hpp"
 
 namespace gee::core {
@@ -26,6 +27,22 @@ std::string to_string(Backend backend) {
   return "?";
 }
 
+std::optional<Backend> parse_backend(const std::string& name) {
+  for (const Backend backend : kAllBackends) {
+    if (to_string(backend) == name) return backend;
+  }
+  return std::nullopt;
+}
+
+std::string backend_choices() {
+  std::string choices;
+  for (const Backend backend : kAllBackends) {
+    if (!choices.empty()) choices += ", ";
+    choices += to_string(backend);
+  }
+  return choices;
+}
+
 std::string to_string(UpdateStrategy strategy) {
   switch (strategy) {
     case UpdateStrategy::kDelta: return "delta";
@@ -33,6 +50,22 @@ std::string to_string(UpdateStrategy strategy) {
     case UpdateStrategy::kAuto: return "auto";
   }
   return "?";
+}
+
+std::optional<UpdateStrategy> parse_update_strategy(const std::string& name) {
+  for (const UpdateStrategy s : kAllUpdateStrategies) {
+    if (to_string(s) == name) return s;
+  }
+  return std::nullopt;
+}
+
+std::string update_strategy_choices() {
+  std::string choices;
+  for (const UpdateStrategy s : kAllUpdateStrategies) {
+    if (!choices.empty()) choices += ", ";
+    choices += to_string(s);
+  }
+  return choices;
 }
 
 namespace {
@@ -47,29 +80,28 @@ bool backend_is_serial(Backend backend) {
          backend == Backend::kLigraSerial;
 }
 
-/// diag_augment post-pass: Algorithm 1 on the unit self-loop (v, v, w_loop)
-/// fires both update lines, adding 2 * W(v) * w_loop to Z(v, Y(v)). With
-/// the Laplacian transform the loop's weight is 1 / d(v).
-void apply_diag_augment(Embedding& z, const Projection& projection,
-                        std::span<const std::int32_t> labels,
-                        const std::vector<Real>& lap_degrees) {
-  const bool laplacian = !lap_degrees.empty();
-  gee::par::parallel_for(VertexId{0}, z.num_vertices(), [&](VertexId v) {
-    const std::int32_t y = labels[v];
-    if (y < 0) return;
-    const Real loop_w = laplacian ? Real{1} / lap_degrees[v] : Real{1};
-    z.at(v, y) += Real{2} * projection.vertex_weight[v] * loop_w;
-  });
-}
-
 struct Prepared {
   Projection projection;
+  /// Laplacian only (both empty otherwise): the row scales s(v) and the
+  /// pass weights W'(v) = W(v) * s(v) (preprocess.hpp).
+  std::vector<Real> row_scale;
+  std::vector<Real> pass_weight;
   Embedding z;
   Timings timings;
+
+  /// The W the edge pass reads: W' under the Laplacian option, else W.
+  [[nodiscard]] const Real* vertex_weight() const {
+    return row_scale.empty() ? projection.vertex_weight.data()
+                             : pass_weight.data();
+  }
 };
 
-Prepared prepare(VertexId n, std::span<const std::int32_t> labels,
-                 const Options& options) {
+/// W, and under the Laplacian option s and W' (the projection the pass
+/// reads, so Timings::projection covers them), then Z. `input` is the
+/// Graph or EdgeList whose weighted degrees the Laplacian needs.
+template <class Input>
+Prepared prepare(const Input& input, VertexId n,
+                 std::span<const std::int32_t> labels, const Options& options) {
   if (labels.size() < n) {
     throw std::invalid_argument("embed: labels shorter than vertex count");
   }
@@ -80,12 +112,43 @@ Prepared prepare(VertexId n, std::span<const std::int32_t> labels,
   if (p.projection.num_classes == 0) {
     throw std::invalid_argument("embed: no labeled vertices and no K given");
   }
+  if (options.laplacian) {
+    p.row_scale = weighted_degrees(input, options.diag_augment);
+    p.pass_weight =
+        fold_laplacian_scales(p.row_scale, p.projection.vertex_weight);
+  }
   projection_span.end();
   p.timings.projection = timer.restart();
   GEE_TRACE_SPAN("gee.embed.z_init");
   p.z = Embedding(n, p.projection.num_classes);
   p.timings.z_init = timer.seconds();
   return p;
+}
+
+/// The reference code's three options as one pass over the rows of Z
+/// after the edge pass (DESIGN.md section 2). Per row: diag_augment's unit
+/// self-loop (v, v, 1) fires both update lines, adding 2 * W'(v) to
+/// Z(v, Y(v)); then correlation normalizes the row, or else the Laplacian
+/// scales it by s(v). Normalizing cancels any positive row scale, so
+/// correlation skips it. Without the Laplacian each row sees the same
+/// operations, in the same order, as a diag pass followed by
+/// normalize_rows.
+void postprocess(Prepared& p, std::span<const std::int32_t> labels,
+                 const Options& options) {
+  if (!options.laplacian && !options.diag_augment && !options.correlation) {
+    return;
+  }
+  const Real* w = p.vertex_weight();
+  gee::par::parallel_for(VertexId{0}, p.z.num_vertices(), [&](VertexId v) {
+    const std::span<Real> row = p.z.row(v);
+    const std::int32_t y = labels[v];
+    if (options.diag_augment && y >= 0) row[y] += Real{2} * w[v];
+    if (options.correlation) {
+      normalize_row(row);
+    } else if (options.laplacian) {
+      simd::scale(row.data(), row.size(), p.row_scale[v]);
+    }
+  }, /*grain=*/256);
 }
 
 /// Per-phase, per-backend attribution (DESIGN.md section 8). Handles are
@@ -127,67 +190,50 @@ Result embed(const graph::Graph& g, std::span<const std::int32_t> labels,
                                     : options.num_threads);
   gee::util::Timer total;
   const VertexId n = g.num_vertices();
-  Prepared p = prepare(n, labels, options);
-
-  // Laplacian: reweight a copy of the graph (correctness path; Table I
-  // benches run without it, so the hot loops never pay for the option).
-  std::vector<Real> lap_degrees;
-  const graph::Graph* graph = &g;
-  graph::Graph reweighted;
-  gee::util::Timer phase;
-  if (options.laplacian) {
-    lap_degrees = weighted_degrees(g, options.diag_augment);
-    reweighted = reweight_laplacian(g, lap_degrees);
-    graph = &reweighted;
-  }
+  Prepared p = prepare(g, n, labels, options);
 
   const ArcSemantics semantics =
       g.directed() ? ArcSemantics::kBoth : ArcSemantics::kDestOnly;
-  const PassContext ctx{labels.data(), p.projection.vertex_weight.data(),
-                        p.z.data(), p.projection.num_classes};
+  const PassContext ctx{labels.data(), p.vertex_weight(), p.z.data(),
+                        p.projection.num_classes};
 
-  phase.restart();
+  gee::util::Timer phase;
   gee::obs::TraceSpan edge_pass_span("gee.embed.edge_pass");
   switch (options.backend) {
     case Backend::kInterpreted: {
-      const auto dense_w = build_dense_w(p.projection, labels.first(n));
+      const auto dense_w = build_dense_w({ctx.vertex_weight, n}, ctx.k,
+                                         labels.first(n));
       phase.restart();  // dense W is part of projection cost, not the pass
-      detail::pass_interpreted_csr(graph->out(), semantics, ctx,
-                                   dense_w.data());
+      detail::pass_interpreted_csr(g.out(), semantics, ctx, dense_w.data());
       break;
     }
     case Backend::kCompiledSerial:
-      detail::pass_serial_csr(graph->out(), semantics, ctx);
+      detail::pass_serial_csr(g.out(), semantics, ctx);
       break;
     case Backend::kLigraSerial:  // ThreadScope pinned to 1 above
     case Backend::kLigraParallel:
-      detail::pass_engine(*graph, semantics, Atomicity::kAtomic, ctx);
+      detail::pass_engine(g, semantics, Atomicity::kAtomic, ctx);
       break;
     case Backend::kParallelUnsafe:
-      detail::pass_engine(*graph, semantics, Atomicity::kUnsafe, ctx);
+      detail::pass_engine(g, semantics, Atomicity::kUnsafe, ctx);
       break;
     case Backend::kParallelPull:
-      detail::pass_pull(*graph, semantics, ctx);
+      detail::pass_pull(g, semantics, ctx);
       break;
     case Backend::kFlatParallel:
-      detail::pass_flat_csr(graph->out(), semantics, Atomicity::kAtomic, ctx);
+      detail::pass_flat_csr(g.out(), semantics, Atomicity::kAtomic, ctx);
       break;
     case Backend::kPartitioned: {
-      // Cache on the caller's graph even when partitioning the local
-      // Laplacian-reweighted copy: the transform is deterministic in
-      // (graph, laplacian, diag_augment), so the variant bits identify the
-      // reweighted arc content and repeated calls skip re-partitioning
-      // (the reweighting itself is still paid per call).
-      const std::uint32_t variant =
-          options.laplacian ? (1u | (options.diag_augment ? 2u : 0u)) : 0u;
+      // First call pays partitioning (reported like embed_edges' CSR
+      // build); later calls on the same graph, with any options, hit the
+      // AuxCache and report graph_build 0.
+      bool built = false;
       const auto plan = partition::plan_for(
-          g, graph->out(),
+          g,
           semantics == ArcSemantics::kBoth ? partition::UpdateSides::kBoth
                                            : partition::UpdateSides::kDestOnly,
-          partition::resolve_num_blocks(options.partition_blocks), variant);
-      // First call pays partitioning (reported like embed_edges' CSR
-      // build); later calls on the same graph hit the AuxCache.
-      p.timings.graph_build = phase.restart();
+          partition::resolve_num_blocks(options.partition_blocks), &built);
+      if (built) p.timings.graph_build = phase.restart();
       detail::pass_partitioned(*plan, ctx);
       break;
     }
@@ -196,10 +242,7 @@ Result embed(const graph::Graph& g, std::span<const std::int32_t> labels,
   p.timings.edge_pass = phase.restart();
 
   GEE_TRACE_SPAN("gee.embed.postprocess");
-  if (options.diag_augment) {
-    apply_diag_augment(p.z, p.projection, labels.first(n), lap_degrees);
-  }
-  if (options.correlation) normalize_rows(p.z);
+  postprocess(p, labels, options);
   p.timings.postprocess = phase.seconds();
   p.timings.total = total.seconds();
   record_embed_metrics(options.backend, p.timings, g.num_arcs());
@@ -217,41 +260,32 @@ Result embed_edges(const graph::EdgeList& edges,
                                     : options.num_threads);
   gee::util::Timer total;
   const VertexId n = edges.num_vertices();
-  Prepared p = prepare(n, labels, options);
+  Prepared p = prepare(edges, n, labels, options);
 
-  std::vector<Real> lap_degrees;
-  const graph::EdgeList* list = &edges;
-  graph::EdgeList reweighted;
-  if (options.laplacian) {
-    lap_degrees = weighted_degrees(edges, options.diag_augment);
-    reweighted = reweight_laplacian(edges, lap_degrees);
-    list = &reweighted;
-  }
-
-  const PassContext ctx{labels.data(), p.projection.vertex_weight.data(),
-                        p.z.data(), p.projection.num_classes};
+  const PassContext ctx{labels.data(), p.vertex_weight(), p.z.data(),
+                        p.projection.num_classes};
 
   gee::util::Timer phase;
   gee::obs::TraceSpan edge_pass_span("gee.embed.edge_pass");
   switch (options.backend) {
     case Backend::kInterpreted: {
-      const auto dense_w = build_dense_w(p.projection, labels.first(n));
+      const auto dense_w = build_dense_w({ctx.vertex_weight, n}, ctx.k,
+                                         labels.first(n));
       phase.restart();
-      detail::pass_interpreted_edges(*list, ctx, dense_w.data());
+      detail::pass_interpreted_edges(edges, ctx, dense_w.data());
       p.timings.edge_pass = phase.seconds();
       break;
     }
     case Backend::kCompiledSerial:
-      detail::pass_serial_edges(*list, ctx);
+      detail::pass_serial_edges(edges, ctx);
       p.timings.edge_pass = phase.seconds();
       break;
     case Backend::kFlatParallel:
-      detail::pass_flat_edges(*list, Atomicity::kAtomic, ctx);
+      detail::pass_flat_edges(edges, Atomicity::kAtomic, ctx);
       p.timings.edge_pass = phase.seconds();
       break;
     case Backend::kPartitioned: {
-      const auto plan =
-          partition::build_plan(*list, options.partition_blocks);
+      const auto plan = partition::build_plan(edges, options.partition_blocks);
       p.timings.graph_build = phase.restart();
       detail::pass_partitioned(plan, ctx);
       p.timings.edge_pass = phase.seconds();
@@ -265,7 +299,7 @@ Result embed_edges(const graph::EdgeList& edges,
       // are exactly the listed edges (kBoth semantics == Algorithm 1).
       const bool needs_in = options.backend == Backend::kParallelPull;
       const graph::Graph g =
-          graph::Graph::build(*list, graph::GraphKind::kDirected,
+          graph::Graph::build(edges, graph::GraphKind::kDirected,
                               {.sort_neighbors = false, .build_in_csr = needs_in},
                               n);
       p.timings.graph_build = phase.restart();
@@ -289,10 +323,7 @@ Result embed_edges(const graph::EdgeList& edges,
   edge_pass_span.end();
   phase.restart();
   GEE_TRACE_SPAN("gee.embed.postprocess");
-  if (options.diag_augment) {
-    apply_diag_augment(p.z, p.projection, labels.first(n), lap_degrees);
-  }
-  if (options.correlation) normalize_rows(p.z);
+  postprocess(p, labels, options);
   p.timings.postprocess = phase.seconds();
   p.timings.total = total.seconds();
   record_embed_metrics(options.backend, p.timings,

@@ -52,8 +52,10 @@ inline void accumulate_neighbor_mass(const std::int32_t* labels,
 ///
 /// Listing v's incident edges in the order the batch pass visits them
 /// reproduces row v of the batch embedding bitwise (a self-loop must
-/// appear twice: both endpoints contribute). For Laplacian-preprocessed
-/// embeddings pass the reweighted w / sqrt(d(u) d(v)) weights.
+/// appear twice: both endpoints contribute). For a Laplacian embedding,
+/// pass the raw weights with a projection whose vertex_weight is
+/// W(u) * s(u), s = 1 / sqrt(d) (preprocess.hpp), then scale the row by
+/// s(v): the two diagonal scalings embed() itself applies.
 ///
 /// Throws std::out_of_range for neighbor ids outside the label vector.
 void embed_one_vertex(const Projection& projection,

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <string>
 
 namespace gee::core {
@@ -61,6 +62,14 @@ static_assert(static_cast<std::size_t>(Backend::kPartitioned) + 1 ==
 
 [[nodiscard]] std::string to_string(Backend backend);
 
+/// Parse a backend name as printed by to_string(Backend); nullopt for
+/// unknown names. Round-trips every Backend value --
+/// parse_backend(to_string(b)) == b (enforced by util_misc_test).
+[[nodiscard]] std::optional<Backend> parse_backend(const std::string& name);
+
+/// All backend names, comma-joined, for --help text.
+[[nodiscard]] std::string backend_choices();
+
 /// How DynamicGee (src/stream/) folds a coalesced update batch into Z
 /// (Options::stream_update_strategy). The delta strategy touches each
 /// changed cell once per net delta; the k-hop strategy instead *recomputes*
@@ -95,6 +104,15 @@ static_assert(static_cast<std::size_t>(UpdateStrategy::kAuto) + 1 ==
 
 [[nodiscard]] std::string to_string(UpdateStrategy strategy);
 
+/// Parse an update-strategy name as printed by to_string(UpdateStrategy);
+/// nullopt for unknown names. Round-trips every value (enforced by
+/// util_misc_test).
+[[nodiscard]] std::optional<UpdateStrategy> parse_update_strategy(
+    const std::string& name);
+
+/// All update-strategy names, comma-joined, for --help text.
+[[nodiscard]] std::string update_strategy_choices();
+
 struct Options {
   Backend backend = Backend::kLigraParallel;
 
@@ -103,14 +121,19 @@ struct Options {
   int num_classes = 0;
 
   /// Normalized-Laplacian preprocessing from the GEE reference code:
-  /// each edge weight becomes w / sqrt(d(u) * d(v)) with d the weighted
-  /// degree (both endpoints of every edge contribute; self-loops count
-  /// twice, matching the reference's accumarray over both columns).
+  /// the pass runs over D^-1/2 A D^-1/2, each edge weight becoming
+  /// w / sqrt(d(u) * d(v)) with d the weighted degree (both endpoints of
+  /// every edge contribute; self-loops count twice, matching the
+  /// reference's accumarray over both columns). Applied as two diagonal
+  /// scalings in double (preprocess.hpp): s = d^-1/2 folds into the
+  /// projection the pass reads and into a final row scale, so the graph is
+  /// never copied or reweighted.
   bool laplacian = false;
 
   /// Diagonal augmentation (reference code's DiagA): a unit self-loop per
-  /// vertex. Applied algebraically (a post-pass adds 2 * W(v) * w_loop to
-  /// Z(v, Y(v))) so no graph rebuild is needed.
+  /// vertex. Applied algebraically -- the row pass after the edge pass adds
+  /// the loop's 2 * W(v) to Z(v, Y(v)), or 2 * W(v) / d(v) under the
+  /// Laplacian -- so no graph rebuild is needed.
   bool diag_augment = false;
 
   /// L2-normalize each nonzero embedding row afterwards (reference code's
@@ -161,10 +184,12 @@ struct Options {
 
 /// Wall-clock breakdown of an embed() call (seconds).
 struct Timings {
-  double projection = 0;   ///< W construction (Algorithm 2 lines 2-6)
+  double projection = 0;   ///< W construction (Algorithm 2 lines 2-6);
+                           ///< under the Laplacian also d, s and W' = W s
   double z_init = 0;       ///< allocating the zeroed n x K matrix Z
   double edge_pass = 0;    ///< the O(s) loop / edgeMap (lines 7 / line 7)
-  double postprocess = 0;  ///< diag augmentation + row normalization
+  double postprocess = 0;  ///< the row pass: diag augmentation, then row
+                           ///< normalization or the Laplacian row scale
   double graph_build = 0;  ///< derived-structure construction: the CSR when
                            ///< embed_edges() needs one, the partition plan
                            ///< for kPartitioned (0 on an AuxCache hit)

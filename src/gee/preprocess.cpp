@@ -55,21 +55,15 @@ std::vector<Real> weighted_degrees(const graph::Graph& g, bool diag_augment) {
   return d;
 }
 
-graph::EdgeList reweight_laplacian(const graph::EdgeList& edges,
-                                   std::span<const Real> degrees) {
-  const EdgeId m = edges.num_edges();
-  std::vector<VertexId> src(m), dst(m);
-  std::vector<Weight> w(m);
-  gee::par::parallel_for(EdgeId{0}, m, [&](EdgeId e) {
-    const VertexId u = edges.src(e);
-    const VertexId v = edges.dst(e);
-    src[e] = u;
-    dst[e] = v;
-    w[e] = static_cast<Weight>(
-        static_cast<Real>(edges.weight(e)) / std::sqrt(degrees[u] * degrees[v]));
+std::vector<Real> fold_laplacian_scales(std::span<Real> d,
+                                        std::span<const Real> vertex_weight) {
+  std::vector<Real> pass_weight(d.size());
+  gee::par::parallel_for(std::size_t{0}, d.size(), [&](std::size_t v) {
+    const Real s = d[v] == 0 ? Real{0} : Real{1} / std::sqrt(d[v]);
+    d[v] = s;
+    pass_weight[v] = vertex_weight[v] * s;
   });
-  return graph::EdgeList::adopt(edges.num_vertices(), std::move(src),
-                                std::move(dst), std::move(w));
+  return pass_weight;
 }
 
 namespace {

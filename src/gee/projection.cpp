@@ -45,13 +45,14 @@ Projection build_projection(std::span<const std::int32_t> labels,
 }
 
 gee::util::UninitBuffer<Real> build_dense_w(
-    const Projection& projection, std::span<const std::int32_t> labels) {
+    std::span<const Real> vertex_weight, int num_classes,
+    std::span<const std::int32_t> labels) {
   const std::size_t n = labels.size();
-  const auto k = static_cast<std::size_t>(projection.num_classes);
+  const auto k = static_cast<std::size_t>(num_classes);
   auto w = gee::util::UninitBuffer<Real>::zeroed(n * k);
   gee::par::parallel_for(std::size_t{0}, n, [&](std::size_t v) {
     const std::int32_t y = labels[v];
-    if (y >= 0) w[v * k + static_cast<std::size_t>(y)] = projection.vertex_weight[v];
+    if (y >= 0) w[v * k + static_cast<std::size_t>(y)] = vertex_weight[v];
   });
   return w;
 }

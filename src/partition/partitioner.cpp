@@ -20,10 +20,8 @@ constexpr std::uint64_t kPlanKeyTag = (std::uint64_t{'P'} << 56) |
 
 constexpr int kMaxBlocks = 1 << 20;
 
-std::uint64_t plan_key(UpdateSides sides, int num_blocks,
-                       std::uint32_t variant) {
-  return kPlanKeyTag | (static_cast<std::uint64_t>(variant) << 34) |
-         (static_cast<std::uint64_t>(sides) << 32) |
+std::uint64_t plan_key(UpdateSides sides, int num_blocks) {
+  return kPlanKeyTag | (static_cast<std::uint64_t>(sides) << 32) |
          static_cast<std::uint32_t>(num_blocks);
 }
 
@@ -236,22 +234,17 @@ EdgePartitionPlan build_delta_plan(const graph::EdgeList& edges,
 
 std::shared_ptr<const EdgePartitionPlan> plan_for(const graph::Graph& g,
                                                   UpdateSides sides,
-                                                  int num_blocks) {
-  return plan_for(g, g.out(), sides, num_blocks, /*variant=*/0);
-}
-
-std::shared_ptr<const EdgePartitionPlan> plan_for(
-    const graph::Graph& cache_on, const graph::Csr& arcs, UpdateSides sides,
-    int num_blocks, std::uint32_t variant) {
-  const std::uint64_t key = plan_key(sides, num_blocks, variant);
-  if (auto hit = std::static_pointer_cast<const EdgePartitionPlan>(
-          cache_on.aux().find(key))) {
-    return hit;
-  }
+                                                  int num_blocks,
+                                                  bool* built) {
+  const std::uint64_t key = plan_key(sides, num_blocks);
+  auto hit =
+      std::static_pointer_cast<const EdgePartitionPlan>(g.aux().find(key));
+  if (built != nullptr) *built = hit == nullptr;
+  if (hit) return hit;
   auto plan = std::make_shared<EdgePartitionPlan>(
-      build_plan(arcs, sides, num_blocks));
+      build_plan(g.out(), sides, num_blocks));
   return std::static_pointer_cast<const EdgePartitionPlan>(
-      cache_on.aux().insert(key, std::move(plan)));
+      g.aux().insert(key, std::move(plan)));
 }
 
 }  // namespace gee::partition

@@ -94,17 +94,13 @@ template <class T>
 
 /// Cached variant: the plan for (g.out(), sides, num_blocks), built on
 /// first use and attached to the graph's AuxCache so repeated embed()
-/// calls amortize partitioning. `num_blocks` must already be resolved
-/// (> 0). Thread-safe; a lost build race discards the loser's plan.
+/// calls amortize partitioning. The plan holds g's own arcs and weights,
+/// so (sides, num_blocks) is the whole cache key. `num_blocks` must
+/// already be resolved (> 0). `*built`, when given, reports whether this
+/// call built the plan. Thread-safe; a lost build race discards the
+/// loser's plan.
 [[nodiscard]] std::shared_ptr<const EdgePartitionPlan> plan_for(
-    const graph::Graph& g, UpdateSides sides, int num_blocks);
-
-/// As above, but partition `arcs` (a transformed view of `cache_on`, e.g.
-/// Laplacian-reweighted) while attaching the plan to `cache_on`'s AuxCache
-/// under the extra `variant` key bits (< 16). The caller guarantees that
-/// (cache_on, variant) deterministically identifies `arcs`' content.
-[[nodiscard]] std::shared_ptr<const EdgePartitionPlan> plan_for(
-    const graph::Graph& cache_on, const graph::Csr& arcs, UpdateSides sides,
-    int num_blocks, std::uint32_t variant);
+    const graph::Graph& g, UpdateSides sides, int num_blocks,
+    bool* built = nullptr);
 
 }  // namespace gee::partition

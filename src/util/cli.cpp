@@ -7,39 +7,6 @@
 
 namespace gee::util {
 
-std::optional<gee::core::Backend> parse_backend(const std::string& name) {
-  for (const gee::core::Backend backend : gee::core::kAllBackends) {
-    if (gee::core::to_string(backend) == name) return backend;
-  }
-  return std::nullopt;
-}
-
-std::string backend_choices() {
-  std::string choices;
-  for (const gee::core::Backend backend : gee::core::kAllBackends) {
-    if (!choices.empty()) choices += ", ";
-    choices += gee::core::to_string(backend);
-  }
-  return choices;
-}
-
-std::optional<gee::core::UpdateStrategy> parse_update_strategy(
-    const std::string& name) {
-  for (const gee::core::UpdateStrategy s : gee::core::kAllUpdateStrategies) {
-    if (gee::core::to_string(s) == name) return s;
-  }
-  return std::nullopt;
-}
-
-std::string update_strategy_choices() {
-  std::string choices;
-  for (const gee::core::UpdateStrategy s : gee::core::kAllUpdateStrategies) {
-    if (!choices.empty()) choices += ", ";
-    choices += gee::core::to_string(s);
-  }
-  return choices;
-}
-
 std::optional<int> parse_shard_count(const std::string& text, int max_shards) {
   if (text.empty()) return std::nullopt;
   std::size_t consumed = 0;

@@ -12,31 +12,7 @@
 #include <string>
 #include <vector>
 
-// Deliberate upward include: backend-name parsing lives with the CLI it
-// serves, and options.hpp is a leaf header (no further gee dependencies).
-// If util ever needs to stand alone, move parse_backend next to
-// to_string(Backend) instead.
-#include "gee/options.hpp"
-
 namespace gee::util {
-
-/// Parse a backend name as printed by gee::core::to_string(Backend);
-/// nullopt for unknown names. Round-trips every Backend value --
-/// parse_backend(to_string(b)) == b (enforced by util_misc_test).
-[[nodiscard]] std::optional<gee::core::Backend> parse_backend(
-    const std::string& name);
-
-/// All backend names, comma-joined, for --help text.
-[[nodiscard]] std::string backend_choices();
-
-/// Parse a stream update-strategy name as printed by
-/// gee::core::to_string(UpdateStrategy); nullopt for unknown names.
-/// Round-trips every value (enforced by util_misc_test).
-[[nodiscard]] std::optional<gee::core::UpdateStrategy> parse_update_strategy(
-    const std::string& name);
-
-/// All update-strategy names, comma-joined, for --help text.
-[[nodiscard]] std::string update_strategy_choices();
 
 /// Split a comma-separated list into its non-empty items (the string
 /// analogue of ArgParser::get_int_list, for name-valued sweeps like

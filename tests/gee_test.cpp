@@ -447,14 +447,14 @@ TEST(Gee, LaplacianHandComputed) {
     SCOPED_TRACE(to_string(backend));
     const auto via_edges =
         embed_edges(el, y, {.backend = backend, .laplacian = true});
-    EXPECT_NEAR(via_edges.z.at(0, 1), inv_sqrt2, 1e-6);
-    EXPECT_NEAR(via_edges.z.at(1, 0), inv_sqrt2, 1e-6);
-    EXPECT_NEAR(via_edges.z.at(2, 1), inv_sqrt2, 1e-6);
+    EXPECT_NEAR(via_edges.z.at(0, 1), inv_sqrt2, 1e-15);
+    EXPECT_NEAR(via_edges.z.at(1, 0), inv_sqrt2, 1e-15);
+    EXPECT_NEAR(via_edges.z.at(2, 1), inv_sqrt2, 1e-15);
 
     const Graph g = Graph::build(el, GraphKind::kUndirected);
     const auto via_graph = embed(g, y, {.backend = backend, .laplacian = true});
-    EXPECT_NEAR(via_graph.z.at(0, 1), inv_sqrt2, 1e-6);
-    EXPECT_NEAR(via_graph.z.at(1, 0), inv_sqrt2, 1e-6);
+    EXPECT_NEAR(via_graph.z.at(0, 1), inv_sqrt2, 1e-15);
+    EXPECT_NEAR(via_graph.z.at(1, 0), inv_sqrt2, 1e-15);
   }
 }
 
@@ -492,15 +492,14 @@ TEST(Gee, LaplacianWithDiagAugment) {
   const std::vector<std::int32_t> y{0, 1};
   const auto result =
       embed_edges(el, y, {.laplacian = true, .diag_augment = true});
-  // d = {3, 3}; edge w' = 1/3; loop adds 2 * 1 * (1/3). Tolerance reflects
-  // float storage of transformed weights (graph::Weight is float).
-  EXPECT_NEAR(result.z.at(0, 0), 2.0 / 3.0, 1e-6);
-  EXPECT_NEAR(result.z.at(0, 1), 1.0 / 3.0, 1e-6);
+  // d = {3, 3}; edge w' = 1/3; loop adds 2 * 1 * (1/3).
+  EXPECT_NEAR(result.z.at(0, 0), 2.0 / 3.0, 1e-15);
+  EXPECT_NEAR(result.z.at(0, 1), 1.0 / 3.0, 1e-15);
 }
 
 TEST(Gee, LaplacianEquivalentAcrossBackends) {
   // Random weighted graph: every exact backend must agree on the
-  // Laplacian-transformed embedding (tolerance covers float edge storage).
+  // Laplacian-transformed embedding (up to reassociation).
   const auto el = random_edges(250, 3000, 47, /*weighted=*/true);
   const auto y = gee::gen::semi_supervised_labels(250, 6, 0.4, 3);
   const Graph g = Graph::build(el, GraphKind::kUndirected);
@@ -524,7 +523,147 @@ TEST(Gee, EdgeListAndGraphPathsAgreeWithAllOptions) {
   const auto via_edges = embed_edges(el, y, options);
   const Graph g = Graph::build(el, GraphKind::kUndirected);
   const auto via_graph = embed(g, y, options);
-  EXPECT_LT(max_abs_diff(via_edges.z, via_graph.z), 1e-6);
+  EXPECT_LT(max_abs_diff(via_edges.z, via_graph.z), 1e-12);
+}
+
+/// The reference code's options evaluated in float64, independently of
+/// preprocess.cpp: D^-1/2 (A + diag) D^-1/2 with every weight transformed
+/// per edge, then row normalization. Degrees follow the edge-list
+/// convention (both columns; + 2 for the unit diagonal).
+std::vector<double> laplacian_oracle(const EdgeList& edges,
+                                     std::span<const std::int32_t> labels,
+                                     int k, bool diag_augment,
+                                     bool correlation) {
+  const std::size_t n = edges.num_vertices();
+  const auto kk = static_cast<std::size_t>(k);
+  std::vector<double> counts(kk, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (labels[v] >= 0) counts[static_cast<std::size_t>(labels[v])] += 1;
+  }
+  std::vector<double> w(n, 0.0);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (labels[v] >= 0) w[v] = 1.0 / counts[static_cast<std::size_t>(labels[v])];
+  }
+  std::vector<double> d(n, diag_augment ? 2.0 : 0.0);
+  for (EdgeId e = 0; e < edges.num_edges(); ++e) {
+    d[edges.src(e)] += edges.weight(e);
+    d[edges.dst(e)] += edges.weight(e);
+  }
+  std::vector<double> z(n * kk, 0.0);
+  for (EdgeId e = 0; e < edges.num_edges(); ++e) {
+    const std::size_t u = edges.src(e);
+    const std::size_t v = edges.dst(e);
+    const double a = edges.weight(e) / std::sqrt(d[u] * d[v]);
+    if (labels[v] >= 0) z[u * kk + static_cast<std::size_t>(labels[v])] += w[v] * a;
+    if (labels[u] >= 0) z[v * kk + static_cast<std::size_t>(labels[u])] += w[u] * a;
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (diag_augment && labels[v] >= 0) {
+      z[v * kk + static_cast<std::size_t>(labels[v])] += 2.0 * w[v] / d[v];
+    }
+    if (!correlation) continue;
+    double sq = 0;
+    for (std::size_t c = 0; c < kk; ++c) sq += z[v * kk + c] * z[v * kk + c];
+    if (sq == 0) continue;
+    for (std::size_t c = 0; c < kk; ++c) z[v * kk + c] /= std::sqrt(sq);
+  }
+  return z;
+}
+
+TEST(Gee, LaplacianMatchesFloat64Oracle) {
+  const auto el = random_edges(150, 1500, 61, /*weighted=*/true,
+                               /*loops=*/true);
+  const auto y = gee::gen::semi_supervised_labels(150, 5, 0.5, 9);
+  const Graph undirected = Graph::build(el, GraphKind::kUndirected);
+  const Graph directed = Graph::build(el, GraphKind::kDirected);
+  const struct {
+    const char* name;
+    bool diag_augment;
+    bool correlation;
+  } combos[] = {{"laplacian", false, false},
+                {"laplacian+diag_augment", true, false},
+                {"all three", true, true}};
+  for (const auto& combo : combos) {
+    const auto oracle =
+        laplacian_oracle(el, y, 5, combo.diag_augment, combo.correlation);
+    for (const Backend backend : kAllBackends) {
+      SCOPED_TRACE(std::string(combo.name) + " / " + to_string(backend));
+      const Options options{
+          .backend = backend,
+          .laplacian = true,
+          .diag_augment = combo.diag_augment,
+          .correlation = combo.correlation,
+          .num_threads = backend == Backend::kParallelUnsafe ? 1 : 0};
+      EXPECT_LT(max_diff_vs_oracle(embed_edges(el, y, options).z, oracle),
+                1e-12);
+      EXPECT_LT(max_diff_vs_oracle(embed(undirected, y, options).z, oracle),
+                1e-12);
+      EXPECT_LT(max_diff_vs_oracle(embed(directed, y, options).z, oracle),
+                1e-12);
+    }
+  }
+}
+
+TEST(Gee, LaplacianIsolatedVertices) {
+  // Vertices 2 (labelled) and 3 (unlabelled) have no edges: d = 0, so
+  // s = 0 rather than 1 / sqrt(0), and their rows stay exactly zero.
+  EdgeList el(4);
+  el.add(0, 1, 2.0f);
+  const std::vector<std::int32_t> y{0, 1, 1, -1};
+  for (const Backend backend : kAllBackends) {
+    SCOPED_TRACE(to_string(backend));
+    const Options options{.backend = backend, .laplacian = true};
+    const Graph g = Graph::build(el, GraphKind::kUndirected);
+    for (const auto& result : {embed_edges(el, y, options), embed(g, y, options)}) {
+      for (const VertexId v : {VertexId{2}, VertexId{3}}) {
+        for (int c = 0; c < 2; ++c) EXPECT_EQ(result.z.at(v, c), 0.0);
+      }
+      EXPECT_GT(result.z.at(0, 1), 0.0);
+    }
+    // The unit self-loop gives an isolated vertex d = 2, so its row holds
+    // 2 W(v) / d(v) = W(v): here W(2) = 1/2.
+    Options augmented = options;
+    augmented.diag_augment = true;
+    for (const auto& result :
+         {embed_edges(el, y, augmented), embed(g, y, augmented)}) {
+      EXPECT_DOUBLE_EQ(result.z.at(2, 1), result.projection.vertex_weight[2]);
+      EXPECT_EQ(result.z.at(2, 0), 0.0);
+      EXPECT_EQ(result.z.at(3, 0), 0.0);
+      EXPECT_EQ(result.z.at(3, 1), 0.0);
+    }
+  }
+}
+
+TEST(Gee, DiagAugmentCorrelationMatchesPlainPlusManualPostprocess) {
+  // Without the Laplacian, the row pass must do exactly what a separate
+  // diag pass and normalize_rows did: compared at == 0.0, so only
+  // backends whose pass is deterministic on weighted input run.
+  const auto el = random_edges(200, 2500, 67, /*weighted=*/true,
+                               /*loops=*/true);
+  const auto y = gee::gen::semi_supervised_labels(200, 5, 0.5, 11);
+  const Graph g = Graph::build(el, GraphKind::kUndirected);
+  for (const Backend backend :
+       {Backend::kCompiledSerial, Backend::kParallelPull,
+        Backend::kPartitioned}) {
+    SCOPED_TRACE(to_string(backend));
+    const auto manual = [&](Result plain) {
+      for (VertexId v = 0; v < plain.z.num_vertices(); ++v) {
+        if (y[v] >= 0) {
+          plain.z.at(v, y[v]) += 2.0 * plain.projection.vertex_weight[v];
+        }
+      }
+      normalize_rows(plain.z);
+      return std::move(plain.z);
+    };
+    const Options plain{.backend = backend};
+    const Options both{
+        .backend = backend, .diag_augment = true, .correlation = true};
+    EXPECT_EQ(max_abs_diff(embed_edges(el, y, both).z,
+                           manual(embed_edges(el, y, plain))),
+              0.0);
+    EXPECT_EQ(max_abs_diff(embed(g, y, both).z, manual(embed(g, y, plain))),
+              0.0);
+  }
 }
 
 TEST(Gee, DenseGraphAllVerticesLabeled) {
@@ -578,7 +717,7 @@ TEST(Projection, WeightsAndCounts) {
 TEST(Projection, DenseMatchesCompact) {
   const auto y = gee::gen::semi_supervised_labels(1000, 10, 0.4, 3);
   const auto p = build_projection(y);
-  const auto dense = build_dense_w(p, y);
+  const auto dense = build_dense_w(p.vertex_weight, p.num_classes, y);
   for (std::size_t v = 0; v < 1000; ++v) {
     for (int c = 0; c < 10; ++c) {
       const double expected =
@@ -635,28 +774,36 @@ TEST(Gee, TimingsPopulated) {
   const auto el = random_edges(200, 5000, 41);
   const auto y = gee::gen::semi_supervised_labels(200, 5, 0.2, 1);
   const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto check = [](const Timings& t) {
-    EXPECT_GT(t.total, 0.0);
-    EXPECT_GT(t.z_init, 0.0);
-    EXPECT_GT(t.edge_pass, 0.0);
-    // The phases are disjoint intervals inside the call.
-    EXPECT_LE(t.projection + t.z_init + t.graph_build + t.edge_pass +
-                  t.postprocess,
-              t.total);
-  };
-  {
-    SCOPED_TRACE("embed_edges");
-    const auto result =
-        embed_edges(el, y, {.backend = Backend::kLigraParallel});
-    check(result.timings);
-    EXPECT_GT(result.timings.graph_build, 0.0);  // engine path built a graph
-    EXPECT_EQ(result.backend, Backend::kLigraParallel);
-  }
-  {
-    SCOPED_TRACE("embed");
-    const auto result = embed(g, y, {.backend = Backend::kLigraParallel});
-    check(result.timings);
-    EXPECT_EQ(result.backend, Backend::kLigraParallel);
+  const Options plain{.backend = Backend::kLigraParallel};
+  const Options all_options{.backend = Backend::kLigraParallel,
+                            .laplacian = true,
+                            .diag_augment = true,
+                            .correlation = true};
+  for (const Options& options : {plain, all_options}) {
+    SCOPED_TRACE(options.laplacian ? "all options" : "plain");
+    const auto check = [&](const Timings& t) {
+      EXPECT_GT(t.total, 0.0);
+      EXPECT_GT(t.z_init, 0.0);
+      EXPECT_GT(t.edge_pass, 0.0);
+      if (options.laplacian) EXPECT_GT(t.postprocess, 0.0);
+      // The phases are disjoint intervals inside the call.
+      EXPECT_LE(t.projection + t.z_init + t.graph_build + t.edge_pass +
+                    t.postprocess,
+                t.total);
+    };
+    {
+      SCOPED_TRACE("embed_edges");
+      const auto result = embed_edges(el, y, options);
+      check(result.timings);
+      EXPECT_GT(result.timings.graph_build, 0.0);  // engine path built a graph
+      EXPECT_EQ(result.backend, Backend::kLigraParallel);
+    }
+    {
+      SCOPED_TRACE("embed");
+      const auto result = embed(g, y, options);
+      check(result.timings);
+      EXPECT_EQ(result.backend, Backend::kLigraParallel);
+    }
   }
 }
 

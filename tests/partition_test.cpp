@@ -350,6 +350,25 @@ TEST(PartitionedBackend, RepeatEmbedHitsThePlanCache) {
   EXPECT_EQ(max_diff(first.z, second.z), 0.0);
 }
 
+TEST(PartitionedBackend, LaplacianCallSharesThePlainPlan) {
+  // The Laplacian lives in the projection and the row pass, not in the
+  // arcs, so a Laplacian call after a plain one reuses the plain plan.
+  const auto el = gee::gen::erdos_renyi_gnm(300, 5000, 83);
+  const Graph g = Graph::build(el, GraphKind::kUndirected);
+  const auto y = gee::gen::semi_supervised_labels(g.num_vertices(), 5,
+                                                  0.3, 5);
+  const Options plain{.backend = Backend::kPartitioned,
+                      .partition_blocks = 4};
+  Options laplacian = plain;
+  laplacian.laplacian = true;
+  laplacian.diag_augment = true;
+  const auto first = embed(g, y, plain);
+  EXPECT_GT(first.timings.graph_build, 0.0) << "first call builds the plan";
+  const auto second = embed(g, y, laplacian);
+  EXPECT_EQ(second.timings.graph_build, 0.0) << "plan cache hit";
+  EXPECT_EQ(g.aux().size(), 1u);
+}
+
 TEST(Backends, ToStringCoversNewValues) {
   EXPECT_EQ(to_string(Backend::kPartitioned), "partitioned");
 }

@@ -5,7 +5,7 @@
 //  * Parity: embed_one_vertex on vertex v's incident edge list (in batch
 //    visit order) reproduces row v of the batch embedding -- bitwise for
 //    unweighted and plain-weighted inputs, tolerance-bounded when the
-//    caller mirrors the Laplacian reweighting.
+//    caller mirrors the Laplacian's two diagonal scalings.
 //  * Engine contract: batch pinning (all replies from ONE epoch), the
 //    serve_max_staleness refresh rule, freshness metadata, validation,
 //    top-k ranking.
@@ -94,17 +94,18 @@ TEST(OutOfSample, LaplacianParityWithinTolerance) {
   const auto reference = core::embed_edges(
       el, labels, {.backend = Backend::kCompiledSerial, .laplacian = true});
 
-  // Mirror the preprocessing: scale each incident weight by
-  // 1 / sqrt(d(u) d(v)) with the same degree convention.
+  // Mirror the preprocessing in double: with s = 1 / sqrt(d) (same degree
+  // convention), synthesize over the raw weights with the projection
+  // W * s, then scale the row by s(v).
   const auto degrees = core::weighted_degrees(el, /*diag_augment=*/false);
+  core::Projection scaled = reference.projection;
+  for (std::size_t u = 0; u < degrees.size(); ++u) {
+    scaled.vertex_weight[u] *= 1.0 / std::sqrt(degrees[u]);
+  }
   for (const VertexId v : {VertexId{0}, VertexId{99}, VertexId{199}}) {
-    auto neighbors = incident_in_batch_order(el, v);
-    for (auto& [u, w] : neighbors) {
-      w = static_cast<Weight>(static_cast<Real>(w) /
-                              std::sqrt(degrees[v] * degrees[u]));
-    }
-    const auto row =
-        core::embed_one_vertex(reference.projection, labels, neighbors);
+    auto row = core::embed_one_vertex(scaled, labels,
+                                      incident_in_batch_order(el, v));
+    for (auto& x : row) x *= 1.0 / std::sqrt(degrees[v]);
     const auto batch_row = reference.z.row(v);
     for (int c = 0; c < reference.z.dim(); ++c) {
       EXPECT_NEAR(row[static_cast<std::size_t>(c)], batch_row[c], 1e-12)

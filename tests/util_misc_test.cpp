@@ -10,6 +10,7 @@
 #include <string>
 
 #include "gee/embedding.hpp"
+#include "gee/options.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/buffer.hpp"
 #include "util/cli.hpp"
@@ -171,23 +172,23 @@ TEST(ArgParser, UsageListsOptions) {
 TEST(ParseBackend, RoundTripsEveryBackend) {
   for (const gee::core::Backend backend : gee::core::kAllBackends) {
     const std::string name = gee::core::to_string(backend);
-    const auto parsed = gee::util::parse_backend(name);
+    const auto parsed = gee::core::parse_backend(name);
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(*parsed, backend) << name;
   }
 }
 
 TEST(ParseBackend, RejectsRemovedAndUnknownNames) {
-  EXPECT_EQ(gee::util::parse_backend("partitioned"),
+  EXPECT_EQ(gee::core::parse_backend("partitioned"),
             gee::core::Backend::kPartitioned);
   // No Backend is named "replicated" (shard::ShardMode::kReplicated is a
   // placement mode, not an edge-pass backend).
-  EXPECT_FALSE(gee::util::parse_backend("replicated").has_value());
-  EXPECT_FALSE(gee::util::parse_backend("no-such-backend").has_value());
+  EXPECT_FALSE(gee::core::parse_backend("replicated").has_value());
+  EXPECT_FALSE(gee::core::parse_backend("no-such-backend").has_value());
 }
 
 TEST(ParseBackend, ChoicesListEveryName) {
-  const std::string choices = gee::util::backend_choices();
+  const std::string choices = gee::core::backend_choices();
   for (const gee::core::Backend backend : gee::core::kAllBackends) {
     EXPECT_NE(choices.find(gee::core::to_string(backend)), std::string::npos);
   }
@@ -198,7 +199,7 @@ TEST(ParseBackend, ChoicesListEveryName) {
 TEST(ParseUpdateStrategy, RoundTripsEveryStrategy) {
   for (const gee::core::UpdateStrategy s : gee::core::kAllUpdateStrategies) {
     const std::string name = gee::core::to_string(s);
-    const auto parsed = gee::util::parse_update_strategy(name);
+    const auto parsed = gee::core::parse_update_strategy(name);
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(*parsed, s) << name;
   }
@@ -207,21 +208,21 @@ TEST(ParseUpdateStrategy, RoundTripsEveryStrategy) {
 TEST(ParseUpdateStrategy, NamesAreStable) {
   // The names are a CLI contract (EXPERIMENTS.md invocations, CI smoke
   // runs); renaming one is a breaking change, not a refactor.
-  EXPECT_EQ(gee::util::parse_update_strategy("delta"),
+  EXPECT_EQ(gee::core::parse_update_strategy("delta"),
             gee::core::UpdateStrategy::kDelta);
-  EXPECT_EQ(gee::util::parse_update_strategy("khop"),
+  EXPECT_EQ(gee::core::parse_update_strategy("khop"),
             gee::core::UpdateStrategy::kKHop);
-  EXPECT_EQ(gee::util::parse_update_strategy("auto"),
+  EXPECT_EQ(gee::core::parse_update_strategy("auto"),
             gee::core::UpdateStrategy::kAuto);
-  EXPECT_FALSE(gee::util::parse_update_strategy("no-such-strategy")
+  EXPECT_FALSE(gee::core::parse_update_strategy("no-such-strategy")
                    .has_value());
   // "serial" is not a strategy: the serial loop is kDelta at an infinite
   // parallel threshold.
-  EXPECT_EQ(gee::util::parse_update_strategy("serial"), std::nullopt);
+  EXPECT_EQ(gee::core::parse_update_strategy("serial"), std::nullopt);
 }
 
 TEST(ParseUpdateStrategy, ChoicesListEveryName) {
-  const std::string choices = gee::util::update_strategy_choices();
+  const std::string choices = gee::core::update_strategy_choices();
   for (const gee::core::UpdateStrategy s : gee::core::kAllUpdateStrategies) {
     EXPECT_NE(choices.find(gee::core::to_string(s)), std::string::npos);
   }
